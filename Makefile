@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify bench lint bench-gate bench-baseline profile-engine trace-sample fuzz transport-chaos service-smoke load-bench service-baseline
+.PHONY: build test vet race verify bench-module bench lint bench-gate bench-baseline profile-engine trace-sample fuzz transport-chaos service-smoke load-bench service-baseline
 
 build:
 	$(GO) build ./...
@@ -18,7 +18,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-verify: build vet race
+verify: build vet race bench-module
+
+# The benchmark (benchmark/) is a nested module, so the root's ./... never
+# builds it: vet it and race-test it (its tests include an in-process smoke
+# of every workload) so a library change cannot silently break it.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -race ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
@@ -35,9 +41,9 @@ lint: vet
 		echo "lint: govulncheck not installed, skipping (CI runs it)"; \
 	fi
 
-# The CI benchmark regression gate, runnable locally: fresh sweep of both
-# execution engines (goroutine + sharded) vs the committed artifact, each
-# against its own baseline entries, ±20%. Refuses a baseline recorded on a
+# The CI benchmark regression gate, runnable locally: fresh engine sweep vs
+# the committed artifact, each (workload, p, k) against its baseline entry,
+# ±20%. Refuses a baseline recorded on a
 # different machine (go version / GOMAXPROCS / CPU count are part of the
 # artifact); regenerate with `make bench-baseline` or, to merely smoke the
 # sweep, add -allow-env-mismatch as CI's hosted runners do.
@@ -50,11 +56,11 @@ bench-gate:
 bench-baseline:
 	$(GO) run ./cmd/mcbbench -engine -baseline BENCH_engine.json -out BENCH_engine.json
 
-# CPU-profile the sharded engine's hot loops: one dense + one sparse sweep at
-# p=16384 under pprof, then the top of the profile. CI archives the .pprof so
-# a regression's flame graph is one `go tool pprof` away.
+# CPU-profile the engine's hot loops: the barrier, dense and sparse workloads
+# at p=16384 under pprof, then the top of the profile. CI archives the .pprof
+# so a regression's flame graph is one `go tool pprof` away.
 profile-engine:
-	$(GO) run ./cmd/mcbbench -engine -engines sharded -engine-sizes 16384 \
+	$(GO) run ./cmd/mcbbench -engine -engine-sizes 16384 \
 		-cpuprofile engine_cpu.pprof -out /dev/null
 	$(GO) tool pprof -top -nodecount 15 engine_cpu.pprof
 

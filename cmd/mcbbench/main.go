@@ -18,10 +18,9 @@
 //
 // CI regression gate: compare a fresh sweep against the committed artifact
 // and fail (exit 2) when throughput or allocations regressed beyond the
-// threshold. The sweep covers both execution engines (goroutine and sharded;
-// see mcb.EngineMode), each gated against its own baseline entries. A
-// baseline generated in a different environment (go version, GOMAXPROCS,
-// CPU count) is refused with the mismatched fields named; pass
+// threshold, each (workload, p, k) configuration gated against its baseline
+// entry. A baseline generated in a different environment (go version,
+// GOMAXPROCS, CPU count) is refused with the mismatched fields named; pass
 // -allow-env-mismatch to skip the comparison (with the reason printed)
 // instead of failing:
 //
@@ -60,11 +59,10 @@ type jsonExperiment struct {
 }
 
 // engineBenchFile is the on-disk schema of BENCH_engine.json: the engine
-// microbenchmark sweep of this build (Entries, covering both execution
-// engines) plus, optionally, the numbers of the previous build (Baseline) so
-// the perf trajectory stays reviewable. The embedded mcb.BenchEnv fields
-// (go/gomaxprocs/num_cpu) record the provenance a later -compare is checked
-// against.
+// microbenchmark sweep of this build (Entries) plus, optionally, the numbers
+// of the previous build (Baseline) so the perf trajectory stays reviewable.
+// The embedded mcb.BenchEnv fields (go/gomaxprocs/num_cpu) record the
+// provenance a later -compare is checked against.
 type engineBenchFile struct {
 	Schema string `json:"schema"`
 	mcb.BenchEnv
@@ -91,20 +89,19 @@ func loadEngineBench(path string) ([]mcb.EngineBenchEntry, mcb.BenchEnv, error) 
 	return prev.Entries, prev.BenchEnv, nil
 }
 
-// runEngineBench executes the engine microbenchmark sweep — both execution
-// engines, each over its default grid — and writes the JSON artifact to
-// outPath ("" = stdout). baselinePath, when set, names a previous artifact
-// whose entries are carried over as the baseline. comparePath, when set,
-// names the artifact the fresh sweep is regression-checked against with the
-// given relative threshold; regressions are reported on stderr and returned
-// as errRegression.
+// runEngineBench executes the engine microbenchmark sweep over sizes (nil =
+// the default grid) and writes the JSON artifact to outPath ("" = stdout).
+// baselinePath, when set, names a previous artifact whose entries are carried
+// over as the baseline. comparePath, when set, names the artifact the fresh
+// sweep is regression-checked against with the given relative threshold;
+// regressions are reported on stderr and returned as errRegression.
 //
 // A comparison is only meaningful between sweeps of the same environment:
 // if the baseline's recorded go version, GOMAXPROCS or CPU count differ from
 // the runner's, the gate refuses (naming the mismatched fields) — or, with
 // allowEnvMismatch, explicitly skips the comparison with the same named
 // reasons and passes.
-func runEngineBench(outPath, baselinePath, comparePath string, threshold float64, cycles int64, allowEnvMismatch bool, engines []mcb.EngineMode, sizes []int) error {
+func runEngineBench(outPath, baselinePath, comparePath string, threshold float64, cycles int64, allowEnvMismatch bool, sizes []int) error {
 	var baseline []mcb.EngineBenchEntry
 	if baselinePath != "" {
 		var err error
@@ -112,16 +109,9 @@ func runEngineBench(outPath, baselinePath, comparePath string, threshold float64
 			return err
 		}
 	}
-	if len(engines) == 0 {
-		engines = []mcb.EngineMode{mcb.EngineGoroutine, mcb.EngineSharded}
-	}
-	var entries []mcb.EngineBenchEntry
-	for _, engine := range engines {
-		es, err := mcb.EngineBenchSweep(engine, sizes, cycles)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, es...)
+	entries, err := mcb.EngineBenchSweep(sizes, cycles)
+	if err != nil {
+		return err
 	}
 	compareSkipped := false
 	var regressions []string
@@ -190,13 +180,12 @@ func main() {
 	threshold := flag.Float64("threshold", 0.20, "with -engine -compare: relative regression threshold")
 	allowEnvMismatch := flag.Bool("allow-env-mismatch", false,
 		"with -engine -compare: on go/gomaxprocs/num_cpu provenance mismatch, warn and skip the comparison instead of failing")
-	engineList := flag.String("engines", "", "with -engine: comma-separated engines to sweep (goroutine,sharded; empty = both)")
-	engineSizes := flag.String("engine-sizes", "", "with -engine: comma-separated processor counts (empty = per-engine default grid)")
+	engineSizes := flag.String("engine-sizes", "", "with -engine: comma-separated processor counts (empty = default grid)")
 	cpuProfile := flag.String("cpuprofile", "", "with -engine: write a pprof CPU profile of the sweep to this file")
 	flag.Parse()
 
 	if *engine {
-		engines, sizes, err := parseEngineSelection(*engineList, *engineSizes)
+		sizes, err := parseEngineSizes(*engineSizes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mcbbench:", err)
 			os.Exit(1)
@@ -216,7 +205,7 @@ func main() {
 				f.Close()
 			}()
 		}
-		if err := runEngineBench(*out, *baseline, *compare, *threshold, *engineCycles, *allowEnvMismatch, engines, sizes); err != nil {
+		if err := runEngineBench(*out, *baseline, *compare, *threshold, *engineCycles, *allowEnvMismatch, sizes); err != nil {
 			if *cpuProfile != "" {
 				pprof.StopCPUProfile()
 			}
@@ -275,30 +264,19 @@ func main() {
 	}
 }
 
-// parseEngineSelection parses the -engines and -engine-sizes flag values.
-func parseEngineSelection(engineList, engineSizes string) ([]mcb.EngineMode, []int, error) {
-	var engines []mcb.EngineMode
-	if engineList != "" {
-		for _, s := range strings.Split(engineList, ",") {
-			switch m := mcb.EngineMode(strings.TrimSpace(s)); m {
-			case mcb.EngineGoroutine, mcb.EngineSharded:
-				engines = append(engines, m)
-			default:
-				return nil, nil, fmt.Errorf("unknown engine %q in -engines (want %q or %q)", s, mcb.EngineGoroutine, mcb.EngineSharded)
-			}
-		}
-	}
+// parseEngineSizes parses the -engine-sizes flag value.
+func parseEngineSizes(engineSizes string) ([]int, error) {
 	var sizes []int
 	if engineSizes != "" {
 		for _, s := range strings.Split(engineSizes, ",") {
 			p, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || p < 1 {
-				return nil, nil, fmt.Errorf("invalid processor count %q in -engine-sizes", s)
+				return nil, fmt.Errorf("invalid processor count %q in -engine-sizes", s)
 			}
 			sizes = append(sizes, p)
 		}
 	}
-	return engines, sizes, nil
+	return sizes, nil
 }
 
 func toJSONTables(tbs []*stats.Table) []jsonTable {

@@ -7,8 +7,7 @@
 //
 // Usage:
 //
-//	mcbd [-addr :8326] [-instances 1] [-p 32] [-k 8]
-//	     [-engine auto|goroutine|sharded] [-batch-window 2ms]
+//	mcbd [-addr :8326] [-instances 1] [-p 32] [-k 8] [-batch-window 2ms]
 //	     [-max-batch 0] [-queue-depth 64] [-stall-timeout 0]
 //
 // Endpoints (all request/response bodies are JSON):
@@ -41,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"mcbnet/internal/mcb"
 	"mcbnet/internal/service"
 )
 
@@ -50,23 +48,16 @@ func main() {
 	instances := flag.Int("instances", 1, "pooled network instances (concurrent batches)")
 	p := flag.Int("p", 32, "processors per pooled network")
 	k := flag.Int("k", 8, "broadcast channels per pooled network")
-	engine := flag.String("engine", "auto", "execution engine: auto, goroutine, sharded")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long the first job of a batch waits for siblings")
 	maxBatch := flag.Int("max-batch", 0, "max jobs per coalesced run (0 = k)")
 	queueDepth := flag.Int("queue-depth", 64, "bounded admission queue depth")
 	stallTimeout := flag.Duration("stall-timeout", 0, "engine stall watchdog (0 = engine default)")
 	flag.Parse()
 
-	mode, err := parseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcbd:", err)
-		os.Exit(2)
-	}
 	srv, err := service.NewServer(service.Config{
 		Instances:    *instances,
 		P:            *p,
 		K:            *k,
-		Engine:       mode,
 		BatchWindow:  *batchWindow,
 		MaxBatch:     *maxBatch,
 		QueueDepth:   *queueDepth,
@@ -112,16 +103,4 @@ func main() {
 	st := srv.Pool().Stats()
 	fmt.Printf("mcbd: drained (accepted=%d completed=%d failed=%d rejected=%d coalesced_runs=%d coalesced_jobs=%d)\n",
 		st.Accepted, st.Completed, st.Failed, st.Rejected, st.CoalescedRuns, st.CoalescedJobs)
-}
-
-func parseEngine(name string) (mcb.EngineMode, error) {
-	switch name {
-	case "auto", "":
-		return mcb.EngineAuto, nil
-	case "goroutine":
-		return mcb.EngineGoroutine, nil
-	case "sharded":
-		return mcb.EngineSharded, nil
-	}
-	return mcb.EngineAuto, fmt.Errorf("unknown engine %q (want auto, goroutine, or sharded)", name)
 }

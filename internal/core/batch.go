@@ -102,8 +102,10 @@ type BatchOptions struct {
 	// run serves at most K jobs (each needs a channel), so larger batches
 	// are chunked.
 	P, K int
-	// Engine selects the execution engine (mcb.EngineAuto by default).
-	Engine mcb.EngineMode
+	// Deprecated: Engine is ignored; the engine has a single execution
+	// mode. The field remains only until the benchmark module stops
+	// setting it.
+	Engine string
 	// StallTimeout mirrors mcb.Config.StallTimeout.
 	StallTimeout time.Duration
 	// NoCoalesce forces one engine run per job — the unbatched mode the
@@ -345,7 +347,6 @@ func runBatchGroups(groups []*batchGroup, opts BatchOptions, maxCycles int64, co
 	}
 	cfg := mcb.Config{
 		P: opts.P, K: opts.K,
-		Engine:       opts.Engine,
 		MaxCycles:    maxCycles,
 		StallTimeout: opts.StallTimeout,
 	}

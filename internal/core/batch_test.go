@@ -180,30 +180,6 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestBatchEngines: the coalesced run answers identically on both execution
-// engines (the subnet view adds no engine-specific behavior).
-func TestBatchEngines(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	jobs := make([]BatchJob, 4)
-	for i := range jobs {
-		jobs[i] = randomBatchJob(rng)
-	}
-	for _, engine := range []mcb.EngineMode{mcb.EngineGoroutine, mcb.EngineSharded} {
-		results, err := RunBatch(jobs, BatchOptions{P: 16, K: 4, Engine: engine})
-		if err != nil {
-			t.Fatalf("engine %q: %v", engine, err)
-		}
-		for i := range jobs {
-			if results[i].Err != nil {
-				t.Fatalf("engine %q job %d: %v", engine, i, results[i].Err)
-			}
-			if want := batchOracle(jobs[i]); !reflect.DeepEqual(results[i].Values, want) {
-				t.Errorf("engine %q job %d = %v, want %v", engine, i, results[i].Values, want)
-			}
-		}
-	}
-}
-
 // BenchmarkBatchTopK measures the batching win the service benchmark gate
 // asserts end to end: 8 small top-k jobs served by one coalesced run vs 8
 // individual runs on the same network.

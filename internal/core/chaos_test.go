@@ -131,32 +131,28 @@ func requireGoroutineDrain(t *testing.T, base int) {
 }
 
 func TestChaosSort(t *testing.T) {
-	chaosSort(t, mcb.EngineGoroutine, 0xC0FFEE, 120)
+	chaosSort(t, 0xC0FFEE, 120)
 }
 
-// TestChaosSortSharded re-runs the sort chaos suite on the sharded engine:
-// the full failure plane (drops, corruption, outages, crash-stops) plus the
-// retry layer must behave identically when shard workers, not a global
-// barrier, coordinate the processors. Run under -race in CI.
+// TestChaosSortSharded is a second seed set of the sort chaos suite: the
+// full failure plane (drops, corruption, outages, crash-stops) plus the
+// retry layer, with shard workers coordinating the processors at every
+// worker count. Run under -race in CI.
 func TestChaosSortSharded(t *testing.T) {
-	chaosSort(t, mcb.EngineSharded, 0x5A4DED, 60)
+	chaosSort(t, 0x5A4DED, 60)
 }
 
-func chaosSort(t *testing.T, engine mcb.EngineMode, seed int64, iterations int) {
+func chaosSort(t *testing.T, seed int64, iterations int) {
 	base := runtime.NumGoroutine()
 	r := rand.New(rand.NewSource(seed))
 	failed, recovered := 0, 0
-	if engine == mcb.EngineSharded {
-		// Rotate the worker count too: the sharded engine derives its shard
-		// layout from GOMAXPROCS, so the same fault plans replay against
-		// single-worker, few-worker and one-worker-per-core topologies.
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	}
+	// Rotate the worker count: the engine derives its shard layout from
+	// GOMAXPROCS, so the same fault plans replay against single-worker,
+	// few-worker and one-worker-per-core topologies.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	gmps := []int{1, 2, 4, runtime.NumCPU()}
 	for iter := 0; iter < iterations; iter++ {
-		if engine == mcb.EngineSharded {
-			runtime.GOMAXPROCS(gmps[iter%len(gmps)])
-		}
+		runtime.GOMAXPROCS(gmps[iter%len(gmps)])
 		p := 3 + r.Intn(4)
 		k := 1 + r.Intn(p)
 		inputs := chaosInputs(r, p, p+r.Intn(40))
@@ -168,7 +164,6 @@ func chaosSort(t *testing.T, engine mcb.EngineMode, seed int64, iterations int) 
 			StallTimeout: 15 * time.Second,
 			Faults:       chaosPlan(r, p, k),
 			Retry:        mcb.RetryPolicy{MaxAttempts: 2},
-			Engine:       engine,
 		}
 		outs, rep, err := SortWithRetry(inputs, o)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"mcbnet/internal/dist"
 	"mcbnet/internal/mcb"
+	"mcbnet/internal/trace"
 )
 
 // Edge-case and failure-injection coverage for the sort/select drivers.
@@ -141,16 +142,19 @@ func TestSelectRankOneAndN(t *testing.T) {
 func TestSelectWithTraceEnabled(t *testing.T) {
 	r := dist.NewRNG(408)
 	inputs := dist.Values(r, dist.Even(256, 8))
-	_, rep, err := Select(inputs, SelectOptions{K: 4, D: 128, Trace: true})
+	rec := trace.New(8, 4, 1<<14)
+	_, rep, err := Select(inputs, SelectOptions{K: 4, D: 128, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Trace == nil || len(rep.Trace.Cycles) == 0 {
-		t.Fatal("expected a trace")
+	if rec.Total() == 0 || rec.Dropped() != 0 {
+		t.Fatalf("recorded %d events, overwrote %d: want a whole, non-empty trace", rec.Total(), rec.Dropped())
 	}
 	var msgs int64
-	for _, c := range rep.Trace.Cycles {
-		msgs += int64(len(c.Writes))
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindWrite {
+			msgs++
+		}
 	}
 	if msgs != rep.Stats.Messages {
 		t.Errorf("trace messages %d != stats %d", msgs, rep.Stats.Messages)

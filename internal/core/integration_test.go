@@ -7,6 +7,7 @@ import (
 	"mcbnet/internal/dist"
 	"mcbnet/internal/mcb"
 	"mcbnet/internal/seq"
+	"mcbnet/internal/trace"
 )
 
 // These tests exercise whole stacks end to end: the paper's algorithms as
@@ -123,39 +124,32 @@ func TestRankOfNodeValues(t *testing.T) {
 }
 
 func TestTraceConsistency(t *testing.T) {
-	// Full-trace integration check: trace message count equals Stats, no
-	// cycle carries more writes than channels, and every write's channel is
-	// within range.
+	// Full-trace integration check: the recorded write count equals Stats,
+	// every cycle of the run left events, and the whole run passes the
+	// model audit (in-range channels, at most one writer per channel, reads
+	// that observe exactly the written words).
 	r := dist.NewRNG(45)
 	inputs := dist.Values(r, dist.RandomComposition(r, 120, 6))
-	_, rep, err := Sort(inputs, SortOptions{K: 3, Trace: true})
+	rec := trace.New(6, 3, 1<<14)
+	_, rep, err := Sort(inputs, SortOptions{K: 3, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var msgs int64
-	for _, cyc := range rep.Trace.Cycles {
-		if len(cyc.Writes) > 3 {
-			t.Fatalf("cycle %d has %d writes > k", cyc.Cycle, len(cyc.Writes))
-		}
-		seen := map[int]bool{}
-		for _, w := range cyc.Writes {
-			if w.Ch < 0 || w.Ch >= 3 {
-				t.Fatalf("write on channel %d", w.Ch)
-			}
-			if seen[w.Ch] {
-				t.Fatalf("two writes on channel %d in cycle %d", w.Ch, cyc.Cycle)
-			}
-			seen[w.Ch] = true
+	cycles := map[int64]bool{}
+	for _, e := range rec.Events() {
+		cycles[e.Cycle] = true
+		if e.Kind == trace.KindWrite {
 			msgs++
 		}
 	}
 	if msgs != rep.Stats.Messages {
 		t.Fatalf("trace has %d messages, stats say %d", msgs, rep.Stats.Messages)
 	}
-	if int64(len(rep.Trace.Cycles)) != rep.Stats.Cycles {
-		t.Fatalf("trace has %d cycles, stats say %d", len(rep.Trace.Cycles), rep.Stats.Cycles)
+	if int64(len(cycles)) != rep.Stats.Cycles {
+		t.Fatalf("trace has %d cycles, stats say %d", len(cycles), rep.Stats.Cycles)
 	}
-	if err := mcb.ValidateTrace(rep.Trace, 6, 3); err != nil {
+	if err := mcb.ValidateTrace(rec, 6, 3); err != nil {
 		t.Fatalf("full-run trace failed model validation: %v", err)
 	}
 }

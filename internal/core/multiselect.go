@@ -61,15 +61,14 @@ func MultiSelect(inputs [][]int64, ds []int, opts SelectOptions) ([]int64, *Sele
 			}
 		}
 	}
-	cfg := mcb.Config{P: p, K: opts.K, Trace: opts.Trace, MaxCycles: opts.MaxCycles, StallTimeout: opts.StallTimeout,
-		Recorder: opts.Recorder, ProfileLabels: opts.ProfileLabels, Engine: opts.Engine}
+	cfg := mcb.Config{P: p, K: opts.K, MaxCycles: opts.MaxCycles, StallTimeout: opts.StallTimeout,
+		Recorder: opts.Recorder, ProfileLabels: opts.ProfileLabels}
 	env := opts.runEnv()
 	res, err := env.run(cfg, progs)
 	if err != nil {
 		return nil, nil, err
 	}
 	report.Stats = res.Stats
-	report.Trace = res.Trace
 	report.derivePhaseDiagnostics()
 	// All answers were captured at processor 0; under a distributed
 	// transport only the peer hosting it has them.

@@ -82,8 +82,6 @@ type SortOptions struct {
 	MaxCycles int64
 	// StallTimeout aborts on lock-step protocol bugs (0 = engine default).
 	StallTimeout time.Duration
-	// Trace enables full traffic tracing (tests only).
-	Trace bool
 	// Recorder, when non-nil, streams per-cycle events into preallocated
 	// ring buffers for JSONL/Perfetto export (see internal/trace and
 	// mcb.Config.Recorder). Retry attempts sharing the options append to
@@ -92,11 +90,6 @@ type SortOptions struct {
 	// ProfileLabels attaches pprof phase labels to processor goroutines
 	// (see mcb.Config.ProfileLabels).
 	ProfileLabels bool
-	// Engine selects the execution engine that steps the processors
-	// (mcb.EngineAuto, mcb.EngineGoroutine or mcb.EngineSharded). The zero
-	// value is EngineAuto: sharded coordination once p reaches the
-	// p >> cores regime, classic per-processor barrier below it.
-	Engine mcb.EngineMode
 	// Faults enables deterministic fault injection (see mcb.FaultPlan).
 	Faults *mcb.FaultPlan
 	// Retry configures the verify-and-retry layer; only SortWithRetry
@@ -135,13 +128,11 @@ type SortOptions struct {
 func (o SortOptions) engineConfig(p int) mcb.Config {
 	return mcb.Config{
 		P: p, K: o.K,
-		Trace:         o.Trace,
 		MaxCycles:     o.MaxCycles,
 		StallTimeout:  o.StallTimeout,
 		Faults:        o.Faults,
 		Recorder:      o.Recorder,
 		ProfileLabels: o.ProfileLabels,
-		Engine:        o.Engine,
 	}
 }
 
@@ -176,8 +167,6 @@ type Report struct {
 	// channel indices.
 	DegradedK    int
 	DeadChannels []int
-	// Trace is the engine trace when requested.
-	Trace *mcb.Trace
 }
 
 // PhaseCycle records one phase boundary.

@@ -50,15 +50,12 @@ type SelectOptions struct {
 	Threshold int
 	// Algorithm selects filtering (default) or the sort baseline.
 	Algorithm SelectAlgorithm
-	// MaxCycles, StallTimeout, Trace, Recorder and ProfileLabels mirror
+	// MaxCycles, StallTimeout, Recorder and ProfileLabels mirror
 	// SortOptions.
 	MaxCycles     int64
 	StallTimeout  time.Duration
-	Trace         bool
 	Recorder      *trace.Recorder
 	ProfileLabels bool
-	// Engine selects the execution engine (mirrors SortOptions.Engine).
-	Engine mcb.EngineMode
 	// Faults enables deterministic fault injection (see mcb.FaultPlan).
 	Faults *mcb.FaultPlan
 	// Retry configures the verify-and-retry layer; only SelectWithRetry
@@ -114,7 +111,6 @@ type SelectReport struct {
 	ReplayedCycles  int64
 	DegradedK       int
 	DeadChannels    []int
-	Trace           *mcb.Trace
 }
 
 // FilterPhase is the accounting of one filtering iteration, derived from the
@@ -160,13 +156,12 @@ func Select(inputs [][]int64, opts SelectOptions) (int64, *SelectReport, error) 
 			}
 		}
 	}
-	cfg := mcb.Config{P: p, K: opts.K, Trace: opts.Trace, MaxCycles: opts.MaxCycles, StallTimeout: opts.StallTimeout,
-		Faults: opts.Faults, Recorder: opts.Recorder, ProfileLabels: opts.ProfileLabels, Engine: opts.Engine}
+	cfg := mcb.Config{P: p, K: opts.K, MaxCycles: opts.MaxCycles, StallTimeout: opts.StallTimeout,
+		Faults: opts.Faults, Recorder: opts.Recorder, ProfileLabels: opts.ProfileLabels}
 	env := opts.runEnv()
 	res, err := env.run(cfg, progs)
 	if res != nil {
 		report.Stats = res.Stats
-		report.Trace = res.Trace
 		report.derivePhaseDiagnostics()
 	}
 	if err != nil {

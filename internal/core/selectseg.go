@@ -309,9 +309,8 @@ func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectRep
 		snap.Threshold = threshold
 		plan := cs.curPlan.ForAttempt(snap.Attempt).Shift(snap.CyclesDone)
 		cfg := mcb.Config{
-			P: p, K: cs.k(), Trace: opts.Trace, StallTimeout: opts.StallTimeout,
+			P: p, K: cs.k(), StallTimeout: opts.StallTimeout,
 			Faults: plan, Recorder: opts.Recorder, ProfileLabels: opts.ProfileLabels,
-			Engine:    opts.Engine,
 			MaxCycles: segmentBudget(opts.MaxCycles, snap.CyclesDone),
 		}
 

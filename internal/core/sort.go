@@ -74,7 +74,6 @@ func Sort(inputs [][]int64, opts SortOptions) ([][]int64, *Report, error) {
 	res, err := env.run(opts.engineConfig(p), progs)
 	if res != nil {
 		report.Stats = res.Stats
-		report.Trace = res.Trace
 		report.PhaseCycles = phaseCyclesFrom(res.Stats.Phases)
 	}
 	if err != nil {

@@ -48,8 +48,9 @@ func allocsForRun(t *testing.T, p, k, cycles, markerEvery int, rec *trace.Record
 }
 
 // TestSteadyStateCycleZeroAllocs asserts that steady-state cycles are
-// allocation-free: growing a run by 2000 cycles must not grow its
-// allocation count.
+// allocation-free — worker rounds, gate handoffs, the fold/merge/scatter
+// stages and the IdleN sleeper heap alike: growing a run by 2000 cycles must
+// not grow its allocation count.
 func TestSteadyStateCycleZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -62,8 +63,8 @@ func TestSteadyStateCycleZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state cycle allocates: %.4f allocs/cycle (short run %.1f, long run %.1f)",
 			perCycle, short, long)
 	}
-	// Idle-only cycles (the bare barrier, including the IdleN fast path)
-	// must be allocation-free too.
+	// Idle-only cycles (the bare worker barrier, every processor asleep in
+	// one IdleN batch) must be allocation-free too.
 	idle := func(cycles int) float64 {
 		cfg := Config{P: p, K: k, StallTimeout: time.Minute}
 		return testing.AllocsPerRun(4, func() {

@@ -25,8 +25,8 @@ const (
 	// BenchSparse measures the selection-phase shape: one processor is active
 	// per cycle (writing and reading back channel 0) while the other p-1 sit
 	// in long IdleN batches, with the writer role rotating between segments.
-	// The sharded engine's active-list skip makes a cycle cost O(active), so
-	// this workload's throughput should be nearly independent of p.
+	// The engine's active-list skip makes a cycle cost O(active), so this
+	// workload's throughput should be nearly independent of p.
 	BenchSparse = "sparse"
 )
 
@@ -38,8 +38,7 @@ const sparseSegLen = 256
 // EngineBenchEntry is one measured engine microbenchmark configuration, in
 // the stable schema recorded in BENCH_engine.json.
 type EngineBenchEntry struct {
-	Name           string  `json:"name"`             // BenchBarrier or BenchWriteRead
-	Engine         string  `json:"engine,omitempty"` // execution engine; "" means goroutine (pre-sharded artifacts)
+	Name           string  `json:"name"` // BenchBarrier, BenchWriteRead or BenchSparse
 	P              int     `json:"p"`
 	K              int     `json:"k"`
 	Cycles         int64   `json:"cycles"`           // cycles in the timed run
@@ -138,13 +137,10 @@ func engineBenchProgram(name string, k int, cycles int64) (func(Node), error) {
 }
 
 // EngineBench runs one engine microbenchmark workload on an MCB(p, k) engine
-// for the given number of cycles under the given execution engine and returns
-// the measured entry. It runs the workload twice (full length and half
-// length) to separate steady-state per-cycle allocations from run setup.
-func EngineBench(engine EngineMode, name string, p, k int, cycles int64) (EngineBenchEntry, error) {
-	if engine == EngineAuto {
-		engine = EngineGoroutine
-	}
+// for the given number of cycles and returns the measured entry. It runs the
+// workload twice (full length and half length) to separate steady-state
+// per-cycle allocations from run setup.
+func EngineBench(name string, p, k int, cycles int64) (EngineBenchEntry, error) {
 	if cycles < 4 {
 		cycles = 4
 	}
@@ -153,7 +149,7 @@ func EngineBench(engine EngineMode, name string, p, k int, cycles int64) (Engine
 		if err != nil {
 			return 0, 0, err
 		}
-		cfg := Config{P: p, K: k, Engine: engine, StallTimeout: 5 * time.Minute}
+		cfg := Config{P: p, K: k, StallTimeout: 5 * time.Minute}
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -189,7 +185,6 @@ func EngineBench(engine EngineMode, name string, p, k int, cycles int64) (Engine
 	ns := float64(elapsed.Nanoseconds()) / float64(cycles)
 	e := EngineBenchEntry{
 		Name:           name,
-		Engine:         string(engine),
 		P:              p,
 		K:              k,
 		Cycles:         cycles,
@@ -212,13 +207,7 @@ func EngineBench(engine EngineMode, name string, p, k int, cycles int64) (Engine
 // empty result means the gate passes.
 func CompareEngineBench(fresh, baseline []EngineBenchEntry, threshold float64) []string {
 	key := func(e *EngineBenchEntry) string {
-		eng := e.Engine
-		if eng == "" {
-			// Pre-sharded artifacts carry no engine field; they measured the
-			// goroutine engine.
-			eng = string(EngineGoroutine)
-		}
-		return fmt.Sprintf("%s/%s/p=%d/k=%d", eng, e.Name, e.P, e.K)
+		return fmt.Sprintf("%s/p=%d/k=%d", e.Name, e.P, e.K)
 	}
 	base := make(map[string]*EngineBenchEntry, len(baseline))
 	for i := range baseline {
@@ -247,19 +236,9 @@ func CompareEngineBench(fresh, baseline []EngineBenchEntry, threshold float64) [
 	return regressions
 }
 
-// engineSweepSizes is the default processor grid per (engine, workload). The
-// goroutine engine's dense workloads stop at p=4096, where one OS goroutine
-// per processor already costs milliseconds per cycle; the sharded engine —
-// the p >> cores mode — sweeps on to p=65536. The sparse workload runs the
-// full grid on both engines: with one active processor per cycle its cost is
-// dominated by the idle-processor machinery (parked goroutines vs the sharded
-// active-list skip), which is exactly the contrast worth recording.
-func engineSweepSizes(engine EngineMode, name string) []int {
-	if engine == EngineSharded || name == BenchSparse {
-		return []int{4, 16, 64, 256, 1024, 4096, 16384, 65536}
-	}
-	return []int{4, 16, 64, 256, 1024, 4096}
-}
+// engineSweepSizes is the default processor grid of every workload, from
+// p=4 up to the p >> cores regime at p=65536.
+var engineSweepSizes = []int{4, 16, 64, 256, 1024, 4096, 16384, 65536}
 
 // engineSweepCycles picks the per-size default cycle count: the historical
 // 262144/p (floor 2048) for the small sizes the trajectory was recorded at,
@@ -280,21 +259,17 @@ func engineSweepCycles(p int) int64 {
 	return n
 }
 
-// EngineBenchSweep runs the standard engine benchmark grid for one execution
-// engine: every workload over p in ps with k = max(1, p/4). ps nil picks the
-// per-(engine, workload) default grid; cycles <= 0 picks a per-size default
-// that keeps the sweep under a few tens of seconds.
-func EngineBenchSweep(engine EngineMode, ps []int, cycles int64) ([]EngineBenchEntry, error) {
-	if engine == EngineAuto {
-		engine = EngineGoroutine
+// EngineBenchSweep runs the standard engine benchmark grid: every workload
+// over p in ps with k = max(1, p/4). ps nil picks engineSweepSizes; cycles
+// <= 0 picks a per-size default that keeps the sweep under a few tens of
+// seconds.
+func EngineBenchSweep(ps []int, cycles int64) ([]EngineBenchEntry, error) {
+	if len(ps) == 0 {
+		ps = engineSweepSizes
 	}
 	var out []EngineBenchEntry
 	for _, name := range []string{BenchBarrier, BenchWriteRead, BenchSparse} {
-		sizes := ps
-		if len(sizes) == 0 {
-			sizes = engineSweepSizes(engine, name)
-		}
-		for _, p := range sizes {
+		for _, p := range ps {
 			k := p / 4
 			if k < 1 {
 				k = 1
@@ -303,7 +278,7 @@ func EngineBenchSweep(engine EngineMode, ps []int, cycles int64) ([]EngineBenchE
 			if n <= 0 {
 				n = engineSweepCycles(p)
 			}
-			e, err := EngineBench(engine, name, p, k, n)
+			e, err := EngineBench(name, p, k, n)
 			if err != nil {
 				return nil, err
 			}

@@ -16,7 +16,10 @@ func benchConfig(p, k int) Config {
 	return Config{P: p, K: k, StallTimeout: 5 * time.Minute}
 }
 
-var benchSizes = []int{4, 16, 64, 256}
+// benchSizes spans p within a small factor of the core count up to the
+// p >> cores regime (the full p=65536 sweep lives in cmd/mcbbench -engine);
+// the race-mode CI smoke runs these at -benchtime=25x.
+var benchSizes = []int{4, 16, 64, 256, 4096}
 
 func benchK(p int) int {
 	if p < 4 {
@@ -78,7 +81,7 @@ func engineCycleProgram(k, n int) func(Node) {
 }
 
 // BenchmarkEngineCycle measures a full write/read traffic cycle on the
-// default (no-fault, no-trace) resolve path.
+// default (no-fault, no-recorder) fold/merge path.
 func BenchmarkEngineCycle(b *testing.B) {
 	for _, p := range benchSizes {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
@@ -97,39 +100,6 @@ func BenchmarkEngineCycleGeneral(b *testing.B) {
 			k := benchK(p)
 			cfg := benchConfig(p, k)
 			cfg.Faults = &FaultPlan{Outages: []Outage{{Ch: 0, From: 1 << 60, To: 1<<60 + 1}}}
-			runCycles(b, cfg, engineCycleProgram(k, b.N), b.N)
-		})
-	}
-}
-
-// shardedBenchSizes extends the grid into the p >> cores regime the sharded
-// engine exists for. Kept modest here (the full p=65536 sweep lives in
-// cmd/mcbbench -engine); the race-mode CI smoke runs these at -benchtime=25x.
-var shardedBenchSizes = []int{16, 256, 4096}
-
-// BenchmarkBarrierRoundTripSharded measures the sharded engine's bare cycle:
-// gate handoffs, worker collection and the O(workers) rendezvous.
-func BenchmarkBarrierRoundTripSharded(b *testing.B) {
-	for _, p := range shardedBenchSizes {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			n := b.N
-			cfg := benchConfig(p, benchK(p))
-			cfg.Engine = EngineSharded
-			runCycles(b, cfg, func(pr Node) {
-				pr.IdleN(n)
-			}, n)
-		})
-	}
-}
-
-// BenchmarkEngineCycleSharded measures the full traffic cycle under the
-// sharded engine.
-func BenchmarkEngineCycleSharded(b *testing.B) {
-	for _, p := range shardedBenchSizes {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			k := benchK(p)
-			cfg := benchConfig(p, k)
-			cfg.Engine = EngineSharded
 			runCycles(b, cfg, engineCycleProgram(k, b.N), b.N)
 		})
 	}
@@ -162,28 +132,27 @@ func TestBenchEnvMismatch(t *testing.T) {
 	}
 }
 
-// TestCompareEngineBenchKeyedByEngine: entries of different engines must
-// never gate against each other, and a baseline without an engine field (a
-// pre-sharded artifact) keys as the goroutine engine.
-func TestCompareEngineBenchKeyedByEngine(t *testing.T) {
+// TestCompareEngineBench: entries gate against the baseline entry of the
+// same (workload, p, k); a throughput drop or an allocation rise beyond the
+// threshold fires, drift within it and unmatched entries do not.
+func TestCompareEngineBench(t *testing.T) {
 	baseline := []EngineBenchEntry{
-		{Name: BenchBarrier, P: 4, K: 1, CyclesPerSec: 1e6},                                // legacy: no engine field
-		{Name: BenchBarrier, Engine: string(EngineSharded), P: 4, K: 1, CyclesPerSec: 1e5}, //nolint:lll
+		{Name: BenchBarrier, P: 4, K: 1, CyclesPerSec: 1e6},
+		{Name: BenchSparse, P: 4, K: 1, CyclesPerSec: 1e5},
 	}
-	// The sharded run is 5x slower than the goroutine BASELINE but matches
-	// its own baseline: no regression may fire.
 	fresh := []EngineBenchEntry{
-		{Name: BenchBarrier, Engine: string(EngineGoroutine), P: 4, K: 1, CyclesPerSec: 1e6},
-		{Name: BenchBarrier, Engine: string(EngineSharded), P: 4, K: 1, CyclesPerSec: 1.1e5},
+		{Name: BenchBarrier, P: 4, K: 1, CyclesPerSec: 0.9e6},
+		{Name: BenchSparse, P: 4, K: 1, CyclesPerSec: 1.1e5},
+		{Name: BenchWriteRead, P: 4, K: 1, CyclesPerSec: 1}, // no baseline entry
 	}
 	if regs := CompareEngineBench(fresh, baseline, 0.2); len(regs) != 0 {
-		t.Fatalf("cross-engine comparison leaked: %v", regs)
+		t.Fatalf("drift within the threshold fired: %v", regs)
 	}
-	// A real sharded regression still fires, keyed to the sharded entry.
 	fresh[1].CyclesPerSec = 1e4
+	fresh[0].AllocsPerCycle = 1
 	regs := CompareEngineBench(fresh, baseline, 0.2)
-	if len(regs) != 1 {
-		t.Fatalf("got %d regressions (%v), want 1", len(regs), regs)
+	if len(regs) != 2 {
+		t.Fatalf("got %d regressions (%v), want 2", len(regs), regs)
 	}
 }
 

@@ -10,17 +10,18 @@ import (
 	"mcbnet/internal/trace"
 )
 
-// Cross-path determinism regression: the fast resolver (no faults, no trace)
-// and the general resolver must be observably identical, and every resolver
-// must be schedule-independent — identical seeds and fault plans produce
-// byte-identical Report JSON across GOMAXPROCS settings and repeated runs.
+// Determinism regressions: the fold/merge fast path (no faults, no
+// recorder) and the serial general resolver must be observably identical,
+// and every run must be schedule-independent — identical seeds and fault
+// plans produce byte-identical Report JSON across GOMAXPROCS settings (which
+// change the shard-worker count and layout) and repeated runs.
 
 // detWorkload is a deterministic mixed workload: every cycle c of the dense
 // block has k collision-free writers (processor (c+j) mod p writes channel
 // j), everyone else reads or idles, phase markers land every 16 cycles, and
 // payloads vary so MaxAbs moves. A sparse coda follows — one writer per
 // segment while everyone else sleeps through an IdleN batch spanning the
-// whole segment — so the sharded engine's sleeper bookkeeping (wake rounds,
+// whole segment — so the workers' sleeper bookkeeping (wake rounds,
 // phase markers attached to batch announcements, faults striking mid-batch)
 // is held to the same byte-identity as the dense traffic. It never branches
 // on read payloads, so fault injection cannot change the traffic pattern —
@@ -83,14 +84,45 @@ func reportJSON(t *testing.T, cfg Config, p, k, cycles int) []byte {
 	return b
 }
 
-func detConfig(p, k int, plan *FaultPlan, trace bool) Config {
-	return Config{P: p, K: k, Trace: trace, Faults: plan, StallTimeout: time.Minute}
+// detConfig is the determinism tests' run config. general attaches a cycle
+// recorder, which forces resolveGeneral, the serial reference resolver (an
+// active fault plan forces it too). The Report does not include the
+// recorder's events, so a small ring that overwrites itself is fine here.
+func detConfig(p, k int, plan *FaultPlan, general bool) Config {
+	c := Config{P: p, K: k, Faults: plan, StallTimeout: time.Minute}
+	if general {
+		c.Recorder = trace.New(p, k, 64)
+	}
+	return c
 }
 
-// TestCrossPathDeterminism holds the fast and general resolve paths to
-// byte-identical Report JSON, across GOMAXPROCS in {1, 4, NumCPU} and
-// repeated runs, with and without an active fault plan.
+// TestCrossPathDeterminism holds the fast path (per-worker fold, serial
+// merge, per-worker scatter) and the general path (one serial scan) to
+// byte-identical Report JSON over network shapes whose shard layouts differ
+// — a single processor, fewer processors than workers, uneven shards — at
+// one and at four workers.
 func TestCrossPathDeterminism(t *testing.T) {
+	const cycles = 96
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, gmp := range []int{1, 4} {
+		runtime.GOMAXPROCS(gmp)
+		for _, shape := range [][2]int{{1, 1}, {2, 1}, {9, 3}, {16, 4}, {33, 5}} {
+			p, k := shape[0], shape[1]
+			tag := fmt.Sprintf("GOMAXPROCS=%d p=%d k=%d", gmp, p, k)
+			fast := reportJSON(t, detConfig(p, k, nil, false), p, k, cycles)
+			general := reportJSON(t, detConfig(p, k, nil, true), p, k, cycles)
+			if !bytes.Equal(general, fast) {
+				t.Fatalf("%s: general-path report differs from fast path:\n%s\n--- want ---\n%s", tag, general, fast)
+			}
+		}
+	}
+}
+
+// TestCrossGOMAXPROCSDeterminism holds the fast path, the general path and
+// a faulted run (drops, corruption, outage window, crash-stop) to
+// byte-identical Report JSON across GOMAXPROCS in {1, 2, 4, NumCPU} — one
+// worker, one per core, oversubscribed — and repeated runs.
+func TestCrossGOMAXPROCSDeterminism(t *testing.T) {
 	const p, k, cycles = 9, 3, 96
 	plan := &FaultPlan{
 		Seed:        42,
@@ -104,32 +136,25 @@ func TestCrossPathDeterminism(t *testing.T) {
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	procsSweep := []int{1, 4, runtime.NumCPU()}
-
 	var fastRef, faultRef []byte
-	for _, gmp := range procsSweep {
+	for _, gmp := range []int{1, 2, 4, runtime.NumCPU()} {
 		runtime.GOMAXPROCS(gmp)
-		for rep := 0; rep < 3; rep++ {
+		for rep := 0; rep < 2; rep++ {
 			tag := fmt.Sprintf("GOMAXPROCS=%d rep=%d", gmp, rep)
 
-			// Fast path: no faults, no trace.
 			fast := reportJSON(t, detConfig(p, k, nil, false), p, k, cycles)
-			// General path, same semantics: trace on, no faults. The Report
-			// schema does not include the trace, so the two paths must agree
-			// byte for byte.
-			general := reportJSON(t, detConfig(p, k, nil, true), p, k, cycles)
 			if fastRef == nil {
 				fastRef = fast
 			}
 			if !bytes.Equal(fast, fastRef) {
 				t.Fatalf("%s: fast-path report diverged:\n%s\n--- want ---\n%s", tag, fast, fastRef)
 			}
+
+			general := reportJSON(t, detConfig(p, k, nil, true), p, k, cycles)
 			if !bytes.Equal(general, fastRef) {
-				t.Fatalf("%s: general-path report differs from fast path:\n%s\n--- want ---\n%s", tag, general, fastRef)
+				t.Fatalf("%s: general-path report differs:\n%s\n--- want ---\n%s", tag, general, fastRef)
 			}
 
-			// General path with an active fault plan (drops, corruption,
-			// outage window, crash-stop): replay must be byte-identical.
 			faulty := reportJSON(t, detConfig(p, k, plan.Clone(), false), p, k, cycles)
 			if faultRef == nil {
 				faultRef = faulty
@@ -144,67 +169,6 @@ func TestCrossPathDeterminism(t *testing.T) {
 	}
 }
 
-// TestCrossEngineDeterminism holds the goroutine and sharded engines to
-// byte-identical Report JSON — fast path, general path (trace) and a faulted
-// run (drops, corruption, outage window, crash-stop) — across GOMAXPROCS in
-// {1, 4, NumCPU} (which changes the sharded worker count) and repeated runs.
-func TestCrossEngineDeterminism(t *testing.T) {
-	const p, k, cycles = 9, 3, 96
-	plan := &FaultPlan{
-		Seed:        42,
-		DropRate:    0.05,
-		CorruptRate: 0.05,
-		Checksum:    true,
-		Outages:     []Outage{{Ch: 1, From: 20, To: 40}},
-		// Proc 7 crashes mid-dense-block; proc 5 crashes as a sparse-coda
-		// sleeper, mid-IdleN-batch.
-		Crashes: []Crash{{Proc: 7, Cycle: 60}, {Proc: 5, Cycle: 110}},
-	}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	procsSweep := []int{1, 4, runtime.NumCPU()}
-
-	var fastRef, faultRef []byte
-	for _, gmp := range procsSweep {
-		runtime.GOMAXPROCS(gmp)
-		for rep := 0; rep < 3; rep++ {
-			for _, mode := range []EngineMode{EngineGoroutine, EngineSharded} {
-				tag := fmt.Sprintf("GOMAXPROCS=%d rep=%d engine=%s", gmp, rep, mode)
-
-				cfg := detConfig(p, k, nil, false)
-				cfg.Engine = mode
-				fast := reportJSON(t, cfg, p, k, cycles)
-				if fastRef == nil {
-					fastRef = fast
-				}
-				if !bytes.Equal(fast, fastRef) {
-					t.Fatalf("%s: fast-path report diverged:\n%s\n--- want ---\n%s", tag, fast, fastRef)
-				}
-
-				cfg = detConfig(p, k, nil, true)
-				cfg.Engine = mode
-				general := reportJSON(t, cfg, p, k, cycles)
-				if !bytes.Equal(general, fastRef) {
-					t.Fatalf("%s: general-path report differs:\n%s\n--- want ---\n%s", tag, general, fastRef)
-				}
-
-				cfg = detConfig(p, k, plan.Clone(), false)
-				cfg.Engine = mode
-				faulty := reportJSON(t, cfg, p, k, cycles)
-				if faultRef == nil {
-					faultRef = faulty
-				}
-				if !bytes.Equal(faulty, faultRef) {
-					t.Fatalf("%s: faulted report diverged:\n%s\n--- want ---\n%s", tag, faulty, faultRef)
-				}
-			}
-		}
-	}
-	if bytes.Equal(fastRef, faultRef) {
-		t.Fatal("fault plan injected nothing; workload lost its fault coverage")
-	}
-}
-
 // TestFastPathSelection pins down which configurations take which resolver:
 // an inactive (zero or nil) fault plan must not force the general path, and
 // an attached cycle recorder must.
@@ -216,7 +180,6 @@ func TestFastPathSelection(t *testing.T) {
 	}{
 		{"default", Config{P: 2, K: 1}, true},
 		{"zero-plan", Config{P: 2, K: 1, Faults: &FaultPlan{}}, true},
-		{"trace", Config{P: 2, K: 1, Trace: true}, false},
 		{"recorder", Config{P: 2, K: 1, Recorder: trace.New(2, 1, 64)}, false},
 		{"drops", Config{P: 2, K: 1, Faults: &FaultPlan{DropRate: 0.1}}, false},
 		{"outage", Config{P: 2, K: 1, Faults: &FaultPlan{Outages: []Outage{{Ch: 0, From: 0, To: 1}}}}, false},

@@ -13,64 +13,12 @@ import (
 	"mcbnet/internal/trace"
 )
 
-// EngineMode selects the execution engine of a run. Both engines implement
-// the same lock-step cycle semantics and produce byte-identical Reports for
-// identical (Config, FaultPlan, programs), so the choice is purely a
-// performance decision; the cross-engine determinism tests hold them to it.
-type EngineMode string
-
-const (
-	// EngineAuto (the zero value) picks EngineSharded for large networks
-	// (P >= autoShardP) and EngineGoroutine otherwise.
-	EngineAuto EngineMode = ""
-	// EngineGoroutine binds one goroutine per processor; every processor
-	// arrives at a shared sense-reversing barrier each cycle and the last
-	// arriver resolves. Fastest for small p, where the spin window catches
-	// the resolver finishing on another core; degrades superlinearly as p
-	// grows (O(p) parked goroutines woken per cycle).
-	EngineGoroutine EngineMode = "goroutine"
-	// EngineSharded coordinates the cycle through M ~ GOMAXPROCS workers,
-	// each owning a contiguous shard of p/M processors. Resolution is a
-	// two-stage parallel protocol: each worker pre-aggregates its shard's
-	// submissions before arriving at the O(M) worker barrier (stage 1), the
-	// last arriver merges the M shard aggregates in processor-id order and
-	// commits (stage 2), and after release every worker scatters read
-	// results to its own shard in parallel (stage 3). Processors inside
-	// IdleN batches sleep off the workers' active lists, so idle-heavy
-	// cycles cost O(active), not O(p). Built for p in the tens of thousands
-	// (see DESIGN.md "The sharded engine").
-	EngineSharded EngineMode = "sharded"
-)
-
-// autoShardP is the processor count at which EngineAuto switches to the
-// sharded engine: below it the goroutine engine's spin window wins, above it
-// the O(p) barrier wake-up dominates everything else.
-const autoShardP = 1024
-
-// engineMode resolves EngineAuto to a concrete engine.
-func (c Config) engineMode() EngineMode {
-	if c.Engine == EngineAuto {
-		if c.P >= autoShardP {
-			return EngineSharded
-		}
-		return EngineGoroutine
-	}
-	return c.Engine
-}
-
 // Config describes an MCB(p, k) network and run options.
 type Config struct {
 	// P is the number of processors (p >= 1).
 	P int
 	// K is the number of shared broadcast channels (1 <= k <= p).
 	K int
-	// Engine selects the execution engine: EngineGoroutine (one goroutine
-	// per processor), EngineSharded (M ~ GOMAXPROCS workers stepping p/M
-	// virtual processors each), or EngineAuto (the default: sharded for
-	// P >= 1024). Reports are byte-identical across engines.
-	Engine EngineMode
-	// Trace enables full per-cycle traffic recording (expensive; tests only).
-	Trace bool
 	// MaxCycles aborts the run once this many cycles have elapsed: the run
 	// executes exactly MaxCycles cycles, then fails before delivering the
 	// results of the last one. Zero means no limit.
@@ -89,11 +37,12 @@ type Config struct {
 	// Recorder, when non-nil, streams fixed-size binary cycle events
 	// (writes, reads, silences, idles, collisions, faults, phase switches)
 	// into the recorder's preallocated per-processor ring buffers for later
-	// export (JSONL, Perfetto; see internal/trace). Unlike Trace it never
-	// allocates per event and never grows: a full ring overwrites its
-	// oldest events. The recorder must be sized for at least P processors
-	// and must not be shared between concurrent runs; consecutive runs
-	// (e.g. retry attempts) may share one, appending their events.
+	// export (JSONL, Perfetto; see internal/trace). It never allocates per
+	// event and never grows: a full ring overwrites its oldest events. A
+	// recorder forces the serial resolver (resolveGeneral). It must be sized
+	// for at least P processors and must not be shared between concurrent
+	// runs; consecutive runs (e.g. retry attempts) may share one, appending
+	// their events.
 	Recorder *trace.Recorder
 	// ProfileLabels attaches pprof goroutine labels (processor id, current
 	// accounting phase) to processor goroutines, so CPU profiles attribute
@@ -123,19 +72,14 @@ func (c Config) validate() error {
 	if c.Recorder != nil && c.Recorder.Procs() < c.P {
 		return fmt.Errorf("mcb: recorder sized for %d processors, network has %d", c.Recorder.Procs(), c.P)
 	}
-	switch c.Engine {
-	case EngineAuto, EngineGoroutine, EngineSharded:
-	default:
-		return fmt.Errorf("mcb: unknown engine mode %q (want %q, %q or auto)", c.Engine, EngineGoroutine, EngineSharded)
-	}
 	return nil
 }
 
-// fastEligible reports whether a run can take the specialized fast resolver:
-// no active fault plan, no full trace, no cycle recorder. Kept as a function
-// so the fast-path selection test pins the exact condition.
+// fastEligible reports whether a run can take the fold/merge fast path
+// (resolveMerge): no active fault plan and no cycle recorder. Kept as a
+// function so the fast-path selection test pins the exact condition.
 func fastEligible(cfg Config, fs *faultState) bool {
-	return fs == nil && !cfg.Trace && cfg.Recorder == nil
+	return fs == nil && cfg.Recorder == nil
 }
 
 // CollisionError reports a violation of the collision-freedom requirement:
@@ -159,7 +103,6 @@ var ErrAborted = errors.New("mcb: run aborted")
 // Result is the outcome of a completed run.
 type Result struct {
 	Stats Stats
-	Trace *Trace // nil unless Config.Trace
 }
 
 type opKind uint8
@@ -221,21 +164,24 @@ type abortPanic struct{ err error }
 type crashPanic struct{}
 
 // paddedInt64 is a cache-line-isolated signed atomic, used for the per-worker
-// outstanding-submission countdowns of the sharded engine.
+// outstanding-submission countdowns.
 type paddedInt64 struct {
 	v atomic.Int64
 	_ [cacheLine - 8]byte
 }
 
+// engine is the state of one run. Processor programs run on their own
+// goroutines, but the per-cycle coordination belongs to M = min(GOMAXPROCS,
+// p) shard workers, each owning a contiguous range of processor ids (see
+// sharded.go for the cycle protocol).
 type engine struct {
 	cfg  Config
-	fast bool       // no faults and no trace: resolve takes the specialized path
-	mode EngineMode // resolved execution mode, never EngineAuto
+	fast bool // no faults and no recorder: resolve takes the fold/merge path
 
-	// Sharded-engine state (nil / zero in goroutine mode). Processor id i is
-	// owned by worker i/shardChunk; workers rendezvous at the arrived/expected
-	// barrier in place of the processors. workerLive and activeWorkers are
-	// resolver-owned (synchronized by the barrier like live/liveN).
+	// Shard-worker state. Processor id i is owned by worker i/shardChunk;
+	// the workers, not the processors, rendezvous at the arrived/expected
+	// barrier. workerLive and activeWorkers are resolver-owned (synchronized
+	// by the barrier like live/liveN).
 	shardChunk    int
 	shards        []shardWorker
 	gates         []chan struct{} // per-processor wake gates, cap 1
@@ -256,8 +202,8 @@ type engine struct {
 	chMsg    []Message
 	chOutage []bool // per-channel outage flag, recomputed once per cycle
 
-	// chTouched lists the channels written this cycle (fast sharded path
-	// only): resolveMerge clears the previous cycle's registers through it in
+	// chTouched lists the channels written this cycle (fast path only):
+	// resolveMerge clears the previous cycle's registers through it in
 	// O(writes) instead of sweeping all K. chWriter starts all -1 to match.
 	chTouched []int32
 	// genAct is resolveGeneral's per-cycle active-processor scratch (only
@@ -265,13 +211,13 @@ type engine struct {
 	// with a fresh submission this cycle, excluding IdleN-batch sleepers.
 	genAct []int32
 
-	// Cycle barrier: a sense-reversing generation counter plus spin-then-park
-	// waiters. Arrival is counted in arrived; the last arriver resolves the
-	// cycle and advances barGen (the "sense"), which releases the spinners;
-	// waiters that gave up spinning park on barCond and are woken only when
-	// parked says somebody is actually there. The three atomics live on
-	// separate cache lines: arrived takes a contended RMW per processor per
-	// cycle, barGen is read-spun by every waiter.
+	// Worker barrier: a sense-reversing generation counter plus spin-then-park
+	// waiters. Arrival is counted in arrived; the last arriving worker
+	// resolves the cycle and advances barGen (the "sense"), which releases the
+	// spinners; waiters that gave up spinning park on barCond and are woken
+	// only when parked says somebody is actually there. The three atomics
+	// live on separate cache lines: arrived takes a contended RMW per worker
+	// per cycle, barGen is read-spun by every waiter.
 	_pad0    [cacheLine]byte
 	arrived  atomic.Int32
 	_pad1    [cacheLine - 4]byte
@@ -292,9 +238,8 @@ type engine struct {
 	procMirror []paddedMirror
 	faults     *faultState
 	stats      Stats
-	phaseIdx   map[string]int // phase name -> index in stats.Phases
-	curPhase   int            // index of the active phase, -1 before any marker
-	trace      *Trace
+	phaseIdx   map[string]int  // phase name -> index in stats.Phases
+	curPhase   int             // index of the active phase, -1 before any marker
 	rec        *trace.Recorder // cycle event recorder, nil when tracing is off
 	recPhase   int32           // recorder-interned id of the active phase, -1 before any
 	failed     atomic.Bool
@@ -329,8 +274,8 @@ func (e *engine) abort(err error) {
 	e.barMu.Lock()
 	e.barCond.Broadcast()
 	e.barMu.Unlock()
-	// Sharded mode: also wake workers sleeping on their submission token so
-	// they observe the failure and release their parked processors.
+	// Also wake workers sleeping on their submission token so they observe
+	// the failure and release their parked processors.
 	for w := range e.workerWake {
 		select {
 		case e.workerWake[w] <- struct{}{}:
@@ -355,45 +300,15 @@ func (e *engine) softErr(err error) {
 	e.abortMu.Unlock()
 }
 
-// step counts processor id's arrival for the current cycle — the processor
-// has already written its submission into slots[id] — and, once every live
-// processor has arrived, resolves the cycle. It blocks until resolution and
-// returns the read result for reading ops.
-func (e *engine) step(id int, kind opKind) readResult {
-	if e.mode == EngineSharded {
-		return e.stepSharded(id, kind)
-	}
-	if e.failed.Load() {
-		panic(abortPanic{e.abortError()})
-	}
-	g := e.barGen.Load()
-	if e.arrived.Add(1) == e.expected.Load() {
-		e.resolve()
-		if kind == opExit {
-			return readResult{}
-		}
-	} else {
-		if kind == opExit {
-			// Exiting processors do not wait for the cycle outcome.
-			return readResult{}
-		}
-		e.await(g)
-	}
-	if e.failed.Load() {
-		panic(abortPanic{e.abortError()})
-	}
-	return e.results[id].r
-}
-
-// barrierYields bounds how many scheduler yields a waiter spends probing the
-// generation counter before parking on the condition variable. A cycle
-// resolves in O(p) work once every processor has arrived, so on a healthy
+// barrierYields bounds how many scheduler yields a waiting worker spends
+// probing the generation counter before parking on the condition variable.
+// Once every worker has arrived the merge is O(writes + M), so on a healthy
 // run a couple of yields suffice; the park path is the backstop for
 // oversubscribed machines and programs doing long local computation.
 const barrierYields = 16
 
-// await blocks until the barrier generation has advanced past g (the cycle
-// this waiter submitted to has been resolved) or the run has failed. It
+// await blocks a worker until the barrier generation has advanced past g (the
+// cycle it arrived for has been resolved) or the run has failed. It
 // spins first — pure probes while other cores may be resolving, then
 // scheduler yields — and parks on barCond as a last resort.
 func (e *engine) await(g uint64) {
@@ -427,15 +342,11 @@ func (e *engine) await(g uint64) {
 // advance opens the next barrier generation and releases this cycle's
 // waiters. The generation bump is the release edge for all plain stores the
 // resolver made (results, stats): waiters synchronize on loading the new
-// value. Called only by the resolver. In goroutine mode the barrier counts
-// live processors; in sharded mode it counts workers with live processors.
+// value. Called only by the resolver. The barrier counts workers with live
+// processors.
 func (e *engine) advance() {
 	e.arrived.Store(0)
-	if e.mode == EngineSharded {
-		e.expected.Store(int32(e.activeWorkers))
-	} else {
-		e.expected.Store(int32(e.liveN))
-	}
+	e.expected.Store(int32(e.activeWorkers))
 	e.barGen.Add(1)
 	// Park-ordering invariant (see TestBarrierAbortStorm): parked is read
 	// only after the generation bump above, while a waiter publishes its
@@ -513,22 +424,20 @@ func (e *engine) stageWrite(id int, op *cycleOp) bool {
 	return true
 }
 
-// markExited removes processor id from the lock-step protocol. Called only by
-// the resolver (pass 3); in sharded mode it also retires the owning worker
-// from the barrier head count when its last processor leaves.
+// markExited removes processor id from the lock-step protocol and retires
+// the owning worker from the barrier head count when its last processor
+// leaves. Called only by the resolver.
 func (e *engine) markExited(id int) {
 	e.live[id] = false
 	e.liveN--
-	if e.mode == EngineSharded {
-		w := id / e.shardChunk
-		if e.workerLive[w]--; e.workerLive[w] == 0 {
-			e.activeWorkers--
-		}
+	w := id / e.shardChunk
+	if e.workerLive[w]--; e.workerLive[w] == 0 {
+		e.activeWorkers--
 	}
 }
 
 // endCycle applies the run budgets and either finishes the run or opens the
-// next barrier generation. Shared tail of both resolver paths. On abort the
+// next barrier generation. Shared tail of both resolvers. On abort the
 // generation is left closed: waiters observe the failed flag instead.
 func (e *engine) endCycle() {
 	if e.cfg.MaxCycles > 0 && e.stats.Cycles >= e.cfg.MaxCycles {
@@ -536,130 +445,34 @@ func (e *engine) endCycle() {
 		return
 	}
 	if e.liveN == 0 {
+		// Exiting processors never wait on the cycle outcome, but the other
+		// workers are parked at the rendezvous: the advance below lets them
+		// observe termination and return (expected is already 0, so nothing
+		// resolves again).
 		close(e.allDone)
-		if e.mode == EngineSharded {
-			// Exiting processors never wait on the cycle outcome, but the
-			// OTHER workers are parked at the rendezvous: open the generation
-			// so they observe termination and return (expected is already 0,
-			// so nothing resolves again).
-			e.advance()
-		}
-		return
 	}
 	e.advance()
 }
 
-// resolve is executed by exactly one goroutine per cycle (the last arriver)
-// and is therefore free of data races. It processes the submitted ops in
-// processor-id order, making runs deterministic. The fast path handles the
-// common case — no fault plan, no trace — with no fault dispatch, no trace
-// bookkeeping and no staged fault counters; the general path handles the
-// rest. Both paths must stay observably identical under a nil plan: the
+// resolve is executed by exactly one goroutine per cycle (the last arriving
+// worker) and is therefore free of data races. Both resolvers process the
+// submitted ops in processor-id order, making runs deterministic. The fast
+// path — no fault plan, no recorder — merges the workers' pre-folded shard
+// aggregates with no fault dispatch, no event recording and no staged fault
+// counters; resolveGeneral scans the active processors serially and handles
+// the rest. Both paths must stay observably identical under a nil plan: the
 // cross-path determinism test holds them to byte-identical Report output.
 func (e *engine) resolve() {
 	if e.fast {
-		if e.mode == EngineSharded {
-			e.resolveMerge()
-		} else {
-			e.resolveFast()
-		}
+		e.resolveMerge()
 	} else {
 		e.resolveGeneral()
 	}
 }
 
-// resolveFast is the no-fault/no-trace cycle resolver. Steady-state cycles
-// (no phase markers pending) allocate nothing here.
-func (e *engine) resolveFast() {
-	p := e.cfg.P
-	for c := range e.chWriter {
-		e.chWriter[c] = -1
-	}
-	sawWork := false
-	sawExit := false
-	// Pass 1: phase markers (processor-id order, so an entry exists even for
-	// a zero-traffic phase) and writes. Validation runs before any counter
-	// is touched, exactly like the general path.
-	for id := 0; id < p; id++ {
-		if !e.live[id] {
-			continue
-		}
-		op := &e.slots[id].op
-		if op.hasPhases {
-			e.consumePhases(id)
-		}
-		switch op.kind {
-		case opWrite, opWriteRead:
-			sawWork = true
-			if !e.stageWrite(id, op) {
-				return
-			}
-		case opRead, opIdle:
-			sawWork = true
-		case opExit:
-			sawExit = true
-		}
-	}
-	// Pass 2: reads observe the channel registers; no fault dispatch.
-	for id := 0; id < p; id++ {
-		if !e.live[id] {
-			continue
-		}
-		op := &e.slots[id].op
-		if op.kind != opRead && op.kind != opWriteRead {
-			continue
-		}
-		c := int(op.readCh)
-		if c < 0 || c >= e.cfg.K {
-			e.abort(fmt.Errorf("%w: processor %d read invalid channel %d", ErrAborted, id, c))
-			return
-		}
-		if e.chWriter[c] >= 0 {
-			e.results[id].r = readResult{msg: e.chMsg[c], ok: true}
-		} else {
-			e.results[id].r = readResult{}
-		}
-	}
-	// Pass 3: exits (skipped entirely on the usual all-live cycle).
-	if sawExit {
-		for id := 0; id < p; id++ {
-			if e.live[id] && e.slots[id].op.kind == opExit {
-				e.markExited(id)
-			}
-		}
-	}
-	// Commit.
-	var ph *PhaseStats
-	if e.curPhase >= 0 {
-		ph = &e.stats.Phases[e.curPhase]
-	}
-	for c, id := range e.chWriter {
-		if id < 0 {
-			continue
-		}
-		e.stats.Messages++
-		e.stats.PerProc[id]++
-		e.stats.PerChannel[c]++
-		if a := e.chMsg[c].maxAbs(); a > e.stats.MaxAbs {
-			e.stats.MaxAbs = a
-		}
-		if ph != nil {
-			ph.Messages++
-			ph.PerChannel[c]++
-		}
-	}
-	if sawWork {
-		e.stats.Cycles++
-		e.cycles.Store(e.stats.Cycles)
-		if ph != nil {
-			ph.Cycles++
-		}
-	}
-	e.endCycle()
-}
-
-// resolveGeneral is the full cycle resolver: fault injection at delivery,
-// channel outages, and optional per-cycle trace recording.
+// resolveGeneral is the full cycle resolver and the serial reference for
+// resolveMerge: fault injection at delivery, channel outages and cycle event
+// recording, in one processor-id-order scan of the active processors.
 //
 // Invariant: Stats reflects only fully resolved cycles. Validation (channel
 // range, collision-freedom, the message-size budget) runs before any counter
@@ -670,33 +483,25 @@ func (e *engine) resolveGeneral() {
 		e.chWriter[c] = -1
 	}
 	// Build this cycle's active list: live processors with a fresh
-	// submission, in ascending id order. In sharded mode the workers maintain
-	// the split incrementally and concatenating the shard lists in order
-	// yields id order; processors sleeping through IdleN batches are known
-	// bare opIdle slots and enter only as a count, so idle-heavy phases cost
-	// O(active) here too. In goroutine mode it is simply the live set.
+	// submission, in ascending id order. The workers maintain the split
+	// incrementally and concatenating the shard lists in order yields id
+	// order; processors sleeping through IdleN batches are known bare opIdle
+	// slots and enter only as a count, so idle-heavy phases cost O(active).
+	//
+	// Retired shards (workerLive == 0) are skipped: their worker left the
+	// barrier when its last processor exited, so its lists are no longer
+	// synchronized with this resolution — they are stale leftovers of its
+	// final round, and the worker may still be mutating them on its way out.
+	// A live shard's worker arrived this round, which orders its updates
+	// before this read.
 	act := e.genAct[:0]
 	sleepers := 0
-	if e.mode == EngineSharded {
-		// Skip retired shards (workerLive == 0): their worker left the
-		// barrier when its last processor exited, so its lists are no longer
-		// synchronized with this resolution — they are stale leftovers of its
-		// final round, and the worker may still be mutating them on its way
-		// out. A live shard's worker arrived this round, which orders its
-		// updates before this read.
-		for w := range e.shards {
-			if e.workerLive[w] == 0 {
-				continue
-			}
-			act = append(act, e.shards[w].active...)
-			sleepers += len(e.shards[w].sleep)
+	for w := range e.shards {
+		if e.workerLive[w] == 0 {
+			continue
 		}
-	} else {
-		for id := 0; id < e.cfg.P; id++ {
-			if e.live[id] {
-				act = append(act, int32(id))
-			}
-		}
+		act = append(act, e.shards[w].active...)
+		sleepers += len(e.shards[w].sleep)
 	}
 	e.genAct = act
 	// Phase markers: consumed up front, in processor-id order, so an entry
@@ -711,13 +516,6 @@ func (e *engine) resolveGeneral() {
 	// A sleeping processor idles this cycle by definition, so the cycle saw
 	// work even if every active submission is an exit.
 	sawWork := sleepers > 0
-	var tr *CycleTrace
-	if e.trace != nil {
-		tr = &CycleTrace{Cycle: e.stats.Cycles}
-		if e.curPhase >= 0 {
-			tr.Phase = e.stats.Phases[e.curPhase].Name
-		}
-	}
 	cycle := e.stats.Cycles
 	var plan *FaultPlan
 	if e.faults != nil {
@@ -758,9 +556,6 @@ func (e *engine) resolveGeneral() {
 			sawWork = true
 			if !e.stageWrite(id, op) {
 				return
-			}
-			if tr != nil {
-				tr.Writes = append(tr.Writes, WriteEvent{Proc: id, Ch: int(op.writeCh), Msg: op.msg})
 			}
 			if e.rec != nil {
 				e.rec.Record(trace.Event{Cycle: cycle, Proc: int32(id), Ch: op.writeCh,
@@ -816,9 +611,6 @@ func (e *engine) resolveGeneral() {
 			}
 		}
 		e.results[id].r = rr
-		if tr != nil {
-			tr.Reads = append(tr.Reads, ReadEvent{Proc: id, Ch: c, Msg: rr.msg, OK: rr.ok})
-		}
 		if e.rec != nil {
 			if faultCode != 0 {
 				e.rec.Record(trace.Event{Cycle: cycle, Proc: int32(id), Ch: int32(c),
@@ -880,9 +672,6 @@ func (e *engine) resolveGeneral() {
 		e.cycles.Store(e.stats.Cycles)
 		if ph != nil {
 			ph.Cycles++
-		}
-		if tr != nil {
-			e.trace.Cycles = append(e.trace.Cycles, *tr)
 		}
 	}
 	e.endCycle()
@@ -967,8 +756,8 @@ func RunContext(ctx context.Context, cfg Config, programs []func(Node)) (*Result
 	}
 	e.fast = fastEligible(cfg, e.faults)
 	// The merge path clears registers through its touched list instead of
-	// sweeping all K, so the registers must start empty; the serial resolvers
-	// re-clear every cycle regardless.
+	// sweeping all K, so the registers must start empty; the serial resolver
+	// re-clears every cycle regardless.
 	for c := range e.chWriter {
 		e.chWriter[c] = -1
 	}
@@ -977,14 +766,10 @@ func RunContext(ctx context.Context, cfg Config, programs []func(Node)) (*Result
 	}
 	e.stats.PerProc = make([]int64, cfg.P)
 	e.stats.PerChannel = make([]int64, cfg.K)
-	if cfg.Trace {
-		e.trace = &Trace{}
-	}
 	for i := range e.live {
 		e.live[i] = true
 	}
 	e.liveN = cfg.P
-	e.mode = cfg.engineMode()
 	e.barCond.L = &e.barMu
 	if runtime.GOMAXPROCS(0) > 1 {
 		// With real parallelism a short pure-spin window usually catches the
@@ -992,11 +777,7 @@ func RunContext(ctx context.Context, cfg Config, programs []func(Node)) (*Result
 		// only delay the resolver, so waiters go straight to yielding.
 		e.busySpins = 96
 	}
-	if e.mode == EngineSharded {
-		e.initShards()
-	} else {
-		e.expected.Store(int32(cfg.P))
-	}
+	e.initShards()
 
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.P; i++ {
@@ -1082,7 +863,7 @@ func RunContext(ctx context.Context, cfg Config, programs []func(Node)) (*Result
 		case <-e.allDone:
 			wg.Wait()
 			e.finalize()
-			return &Result{Stats: e.stats, Trace: e.trace}, outcome()
+			return &Result{Stats: e.stats}, outcome()
 		case <-e.aborted:
 			// Give processor goroutines a chance to unwind; those blocked in
 			// local computation will hit the failed check on their next step.
@@ -1096,7 +877,7 @@ func RunContext(ctx context.Context, cfg Config, programs []func(Node)) (*Result
 				// Every goroutine unwound, so Stats is quiescent: return it
 				// alongside the error. It covers completed cycles only.
 				e.finalize()
-				return &Result{Stats: e.stats, Trace: e.trace}, outcome()
+				return &Result{Stats: e.stats}, outcome()
 			case <-time.After(grace):
 				// A goroutine may still be running; touching Stats would race.
 				return nil, e.abortError()

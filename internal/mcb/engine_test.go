@@ -1,9 +1,12 @@
 package mcb
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
+
+	"mcbnet/internal/trace"
 )
 
 func cfg(p, k int) Config {
@@ -167,10 +170,10 @@ func TestLateJoinerSeesOnlySameCycleMessage(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	// Same run twice: identical stats and traces.
-	run := func() *Result {
+	// Same run twice: identical stats and identical recorded traffic.
+	run := func() (Stats, []byte) {
 		c := cfg(16, 4)
-		c.Trace = true
+		c.Recorder = trace.New(16, 4, 64)
 		prog := func(pr Node) {
 			id := pr.ID()
 			for i := 0; i < 10; i++ {
@@ -187,25 +190,19 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	a, b := run(), run()
-	if a.Stats.Cycles != b.Stats.Cycles || a.Stats.Messages != b.Stats.Messages {
-		t.Fatalf("nondeterministic stats: %v vs %v", a.Stats, b.Stats)
-	}
-	if len(a.Trace.Cycles) != len(b.Trace.Cycles) {
-		t.Fatalf("trace lengths differ")
-	}
-	for i := range a.Trace.Cycles {
-		ta, tb := a.Trace.Cycles[i], b.Trace.Cycles[i]
-		if len(ta.Writes) != len(tb.Writes) || len(ta.Reads) != len(tb.Reads) {
-			t.Fatalf("cycle %d trace differs", i)
+		var buf bytes.Buffer
+		if err := c.Recorder.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
 		}
-		for j := range ta.Writes {
-			if ta.Writes[j] != tb.Writes[j] {
-				t.Fatalf("cycle %d write %d differs", i, j)
-			}
-		}
+		return res.Stats, buf.Bytes()
+	}
+	a, aTrace := run()
+	b, bTrace := run()
+	if a.Cycles != b.Cycles || a.Messages != b.Messages {
+		t.Fatalf("nondeterministic stats: %v vs %v", a, b)
+	}
+	if !bytes.Equal(aTrace, bTrace) {
+		t.Fatalf("recorded traces differ:\n%s\n--- vs ---\n%s", aTrace, bTrace)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"mcbnet/internal/trace"
 )
 
 // TestPhaseRecording checks the core phase accounting: markers open named
@@ -12,7 +14,7 @@ import (
 // per-phase breakdown sums back to the whole-run totals.
 func TestPhaseRecording(t *testing.T) {
 	c := cfg(2, 1)
-	c.Trace = true
+	c.Recorder = trace.New(2, 1, 64)
 	prog := func(pr Node) {
 		pr.Phase("work")
 		for i := 0; i < 2; i++ {
@@ -59,15 +61,22 @@ func TestPhaseRecording(t *testing.T) {
 	if cyc != s.Cycles || msg != s.Messages {
 		t.Errorf("phase sums %d/%d != totals %d/%d", cyc, msg, s.Cycles, s.Messages)
 	}
-	// The trace labels each cycle with the active phase.
+	// The recorded traffic carries each cycle's active phase.
 	wantPhase := []string{"work", "work", "drain", "drain", "drain"}
-	if len(res.Trace.Cycles) != len(wantPhase) {
-		t.Fatalf("trace has %d cycles", len(res.Trace.Cycles))
-	}
-	for i, tc := range res.Trace.Cycles {
-		if tc.Phase != wantPhase[i] {
-			t.Errorf("trace cycle %d phase = %q, want %q", i, tc.Phase, wantPhase[i])
+	names := c.Recorder.Phases()
+	var gotPhase []string
+	for _, e := range c.Recorder.Events() {
+		if e.Kind == trace.KindPhase {
+			continue
 		}
+		if int(e.Cycle) == len(gotPhase) {
+			gotPhase = append(gotPhase, names[e.Phase])
+		} else if name := names[e.Phase]; name != gotPhase[e.Cycle] {
+			t.Errorf("cycle %d: event of proc %d in phase %q, want %q", e.Cycle, e.Proc, name, gotPhase[e.Cycle])
+		}
+	}
+	if !reflect.DeepEqual(gotPhase, wantPhase) {
+		t.Errorf("per-cycle phases = %q, want %q", gotPhase, wantPhase)
 	}
 }
 

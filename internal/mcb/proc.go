@@ -154,29 +154,16 @@ func (p *Proc) IdleN(n int) {
 		}
 	}
 	// The slot content is identical for every remaining cycle, so it is
-	// written once; only the arrival (and the watchdog mirror) repeats.
+	// written once, and one submission covers the whole stretch: the owning
+	// worker replays the opIdle slot for the remaining cycles without waking
+	// this goroutine (see engine.stepIdleBatch). Steps and the watchdog
+	// mirror are pre-credited — the goroutine parks for the stretch, so
+	// per-cycle mirror updates would never be observed mid-flight anyway.
 	p.fillSlot(opIdle, 0, 0, Message{})
-	if p.e.mode == EngineSharded {
-		// One submission covers the whole stretch: the owning worker replays
-		// the opIdle slot for the remaining cycles without waking this
-		// goroutine (see engine.stepIdleBatch). Steps and the watchdog mirror
-		// are pre-credited — the goroutine parks for the stretch, so the
-		// per-cycle mirror updates would never be observed mid-flight anyway.
-		p.steps += int64(n)
-		p.mirOps += uint64(n - 1)
-		p.e.procMirror[p.id].v.Store(p.mirOps<<3 | uint64(opIdle))
-		p.e.stepIdleBatch(p.id, n)
-		return
-	}
-	mir := &p.e.procMirror[p.id].v
-	for i := 0; i < n; i++ {
-		p.steps++
-		if i > 0 {
-			p.mirOps++
-			mir.Store(p.mirOps<<3 | uint64(opIdle))
-		}
-		p.e.step(p.id, opIdle)
-	}
+	p.steps += int64(n)
+	p.mirOps += uint64(n - 1)
+	p.e.procMirror[p.id].v.Store(p.mirOps<<3 | uint64(opIdle))
+	p.e.stepIdleBatch(p.id, n)
 }
 
 // Abortf fails the whole computation with a formatted error. It is meant for

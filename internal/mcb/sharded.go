@@ -5,26 +5,25 @@ import (
 	"runtime"
 )
 
-// This file is the sharded execution engine (Config.Engine = EngineSharded):
-// the p >> cores regime the paper's algorithms are stated in. Processor
-// programs still run on their own goroutines (they are arbitrary blocking
-// func(Node) bodies), but the per-cycle coordination is delegated to
-// M = min(GOMAXPROCS, p) workers, each owning a contiguous shard of p/M
-// processors, and cycle resolution runs as a two-stage parallel protocol:
+// This file is the engine's cycle coordination, built for the p >> cores
+// regime the paper's algorithms are stated in. Processor programs run on
+// their own goroutines (they are arbitrary blocking func(Node) bodies), but
+// the per-cycle coordination is delegated to M = min(GOMAXPROCS, p) workers,
+// each owning a contiguous shard of p/M processors, and cycle resolution
+// runs as a two-stage parallel protocol:
 //
-//   - A processor submits its cycle op by writing its slot (exactly as in
-//     goroutine mode), decrementing its worker's outstanding-submission
-//     countdown, and parking on its private gate channel. It never touches
-//     the shared barrier.
+//   - A processor submits its cycle op by writing its slot, decrementing its
+//     worker's outstanding-submission countdown, and parking on its private
+//     gate channel. It never touches the shared barrier.
 //   - Stage 1 (parallel, pre-barrier): once its countdown drains, each worker
 //     folds its own shard — phase-marker ids, write ops into a per-shard
 //     per-channel claim vector (first writer id + message; a second intra-
 //     shard writer is a collision), read and exit lists — and only then
-//     arrives at the shared arrived/expected barrier, which in this mode
-//     counts workers, not processors. The fold walks the worker's ACTIVE
-//     list, not the shard range: processors replaying IdleN batches sleep in
-//     a (wake-round, id) min-heap and cost nothing per cycle, so idle-heavy
-//     phases (the §8 selection-filter shape) cost O(active), not O(p).
+//     arrives at the shared arrived/expected barrier, which counts workers,
+//     not processors. The fold walks the worker's ACTIVE list, not the shard
+//     range: processors replaying IdleN batches sleep in a (wake-round, id)
+//     min-heap and cost nothing per cycle, so idle-heavy phases (the §8
+//     selection-filter shape) cost O(active), not O(p).
 //   - Stage 2 (serial, last arriver): resolveMerge merges the M claim
 //     vectors in shard order — which is processor-id order, so collision
 //     attribution, abort order and phase-marker order are byte-identical to
@@ -34,16 +33,14 @@ import (
 //     results to its own shard from the merged channel registers, then wakes
 //     exactly the owned processors that owe a fresh submission.
 //
-// The general resolver (faults/trace/recorder) keeps its serial
-// processor-id-order semantics — it scans the concatenated active lists
-// instead of claim vectors — but gains the same active-list skip.
+// Runs with faults or a cycle recorder skip the fold and scatter: the last
+// arriver runs resolveGeneral, the serial processor-id-order reference,
+// over the concatenated active lists, with the same active-list skip.
 //
 // The per-cycle cost model: one gate send + one countdown RMW per ACTIVE
 // processor, an O(active/M) stage-1 fold and stage-3 scatter per worker in
-// parallel, an O(M) worker rendezvous, and an O(writes + M) stage-2 merge —
-// versus the goroutine engine's O(p) barrier arrivals and the previous
-// sharded design's three serial O(p) resolver passes plus O(K) register
-// clear per cycle. See DESIGN.md "The sharded engine".
+// parallel, an O(M) worker rendezvous, and an O(writes + M) stage-2 merge.
+// See DESIGN.md "Engine internals".
 //
 // Memory ordering: a processor's slot write happens-before the worker's fold
 // via the countdown RMW chain and the wake token; every worker's fold
@@ -74,9 +71,9 @@ type readerRec struct {
 	ch int32
 }
 
-// shardWorker is the per-worker state of the sharded engine: the contiguous
-// range [lo, hi) of processor ids it owns, the active/sleeping split of those
-// processors, and the stage-1 fold aggregates the merge consumes.
+// shardWorker is the per-worker state: the contiguous range [lo, hi) of
+// processor ids it owns, the active/sleeping split of those processors, and
+// the stage-1 fold aggregates the merge consumes.
 //
 // Everything here is owned by the worker goroutine between barriers; the
 // resolver (one of the workers) reads it only after every worker has arrived.
@@ -92,7 +89,7 @@ type shardWorker struct {
 	sleep  []sleeper
 	wakes  []int32
 
-	// Stage-1 fold aggregates (fast path only; nil under faults/trace).
+	// Stage-1 fold aggregates (fast path only; nil under faults/recorder).
 	// claim[c] is the shard's first writer of channel c this cycle (-1 none)
 	// with its message in claimMsg[c]; touched lists the claimed channels so
 	// resetting is O(writes), not O(K).
@@ -155,7 +152,7 @@ func (wk *shardWorker) popSleep() sleeper {
 	return top
 }
 
-// initShards sizes the worker set and allocates the sharded-mode state.
+// initShards sizes the worker set and allocates the per-worker state.
 // Called from Run before any goroutine starts. The countdowns start primed:
 // in round 0 the processors submit unprompted (nobody is parked yet), so the
 // workers' first act is to wait for their tokens.
@@ -224,11 +221,11 @@ func (e *engine) initShards() {
 	e.expected.Store(int32(nw))
 }
 
-// stepSharded is the sharded-mode counterpart of step: processor id has
-// already written its submission into slots[id]; announce it to the owning
-// worker and park until the cycle is resolved. Exiting processors do not wait
-// for the outcome, exactly like the goroutine engine.
-func (e *engine) stepSharded(id int, kind opKind) readResult {
+// step submits processor id's cycle op — the processor has already written
+// it into slots[id] — to the owning worker and parks until the cycle is
+// resolved, returning the read result for reading ops. Exiting processors do
+// not wait for the outcome.
+func (e *engine) step(id int, kind opKind) readResult {
 	if e.failed.Load() {
 		panic(abortPanic{e.abortError()})
 	}
@@ -407,13 +404,14 @@ func (e *engine) foldShard(wk *shardWorker) {
 
 // resolveMerge is stage 2 of the fast path, executed by the last-arriving
 // worker only: merge the M shard aggregates in shard order (= processor-id
-// order) and commit channel registers and stats. It must be observably
-// identical to resolveFast — abort attribution at the exact processor id the
-// serial scan would have stopped at, phase markers consumed in id order up to
-// and including that processor, and no stats from an aborted cycle.
+// order) and commit channel registers and stats. Under a nil plan it must be
+// observably identical to resolveGeneral — abort attribution at the exact
+// processor id the serial scan would have stopped at, phase markers consumed
+// in id order up to and including that processor, and no stats from an
+// aborted cycle.
 func (e *engine) resolveMerge() {
 	// Clear the previous cycle's registers via its touched list; the serial
-	// resolvers sweep all K channels instead. chWriter starts all -1 (engine
+	// resolver sweeps all K channels instead. chWriter starts all -1 (engine
 	// setup), and every cycle's writes are recorded in chTouched below. The
 	// previous cycle's scatters finished before their workers re-arrived, so
 	// no stage-3 reader can observe this clear.
@@ -573,10 +571,10 @@ func (e *engine) shardFinish(wk *shardWorker) {
 	wk.phaseIDs = wk.phaseIDs[:0]
 }
 
-// workerRun is the sharded engine's per-worker loop. One iteration is one
-// cycle: refresh the active list, wake and collect the shard's submissions,
-// pre-aggregate them (stage 1), rendezvous (stage 2 on the last arriver),
-// then scatter results (stage 3).
+// workerRun is the per-worker loop. One iteration is one cycle: refresh the
+// active list, wake and collect the shard's submissions, pre-aggregate them
+// (stage 1), rendezvous (stage 2 on the last arriver), then scatter results
+// (stage 3).
 func (e *engine) workerRun(w int) {
 	wk := &e.shards[w]
 	first := true
@@ -630,7 +628,13 @@ func (e *engine) workerRun(w int) {
 		}
 		// Worker rendezvous: the last arriver merges the shard aggregates
 		// (fast path) or resolves serially over the active lists (general).
-		if e.arrived.Add(1) == e.expected.Load() {
+		// The head count is read before arriving: it cannot change until
+		// this round resolves, which needs this arrival, whereas after the
+		// arrival the last arriver may already have resolved the round and
+		// lowered it for the next one (a retired shard), and a stale arrival
+		// count matching the new head count would resolve a second time.
+		expected := e.expected.Load()
+		if e.arrived.Add(1) == expected {
 			e.resolve()
 		} else {
 			e.await(g)

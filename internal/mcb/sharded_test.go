@@ -4,52 +4,27 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 )
 
-// Tests of the sharded execution engine's own machinery: mode selection,
-// failure-path unwinding (no goroutine leaks, no wedged barriers), the IdleN
-// batch replay, large-p operation and the zero-alloc steady state. The
-// cross-engine Report equivalence lives in determinism_test.go.
-
-func shardedCfg(p, k int) Config {
-	c := cfg(p, k)
-	c.Engine = EngineSharded
-	return c
-}
-
-func TestEngineModeResolution(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want EngineMode
-	}{
-		{Config{P: 4, K: 1}, EngineGoroutine},
-		{Config{P: autoShardP, K: 1}, EngineSharded},
-		{Config{P: 4, K: 1, Engine: EngineSharded}, EngineSharded},
-		{Config{P: autoShardP, K: 1, Engine: EngineGoroutine}, EngineGoroutine},
-	}
-	for _, c := range cases {
-		if got := c.cfg.engineMode(); got != c.want {
-			t.Errorf("engineMode(P=%d, Engine=%q) = %q, want %q", c.cfg.P, c.cfg.Engine, got, c.want)
-		}
-	}
-	bad := Config{P: 2, K: 1, Engine: EngineMode("threads")}
-	if err := bad.validate(); err == nil {
-		t.Error("validate accepted an unknown engine mode")
-	}
-}
+// Tests of the shard-worker machinery: failure-path unwinding (no goroutine
+// leaks, no wedged barriers), the IdleN batch replay and large-p operation,
+// across worker counts. The cross-path and cross-GOMAXPROCS Report
+// equivalence lives in determinism_test.go, the zero-alloc steady state in
+// alloc_test.go.
 
 // TestShardedRelayTraffic runs real collision-free traffic (every processor
-// writes in turn, everyone reads) through the sharded engine and checks the
-// model accounting, at worker counts both below and above the processor count.
+// writes in turn, everyone reads) and checks the model accounting, at worker
+// counts both below and above the processor count.
 func TestShardedRelayTraffic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, gmp := range []int{1, 4, runtime.NumCPU()} {
 		runtime.GOMAXPROCS(gmp)
 		const p, k, cycles = 6, 2, 30
-		res, err := Run(shardedCfg(p, k), relayPrograms(p, k, cycles, nil))
+		res, err := Run(cfg(p, k), relayPrograms(p, k, cycles, nil))
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", gmp, err)
 		}
@@ -63,8 +38,8 @@ func TestShardedRelayTraffic(t *testing.T) {
 }
 
 // TestShardedIdleNBatch pins the IdleN batch replay to the per-cycle
-// semantics: ragged idle stretches across processors must produce exactly the
-// same cycle count as the goroutine engine, and a mid-stretch crash-stop must
+// semantics: ragged idle stretches across processors must produce exactly
+// the cycle count of per-cycle idling, and a mid-stretch crash-stop must
 // still fire on its exact cycle.
 func TestShardedIdleNBatch(t *testing.T) {
 	prog := func(pr Node) {
@@ -77,22 +52,18 @@ func TestShardedIdleNBatch(t *testing.T) {
 		}
 		pr.IdleN(4)
 	}
-	g, err := RunUniform(cfg(4, 1), prog)
+	// Processor 3 idles longest (14 cycles), then the write cycle, then 4.
+	s, err := RunUniform(cfg(4, 1), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := RunUniform(shardedCfg(4, 1), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Stats.Cycles != s.Stats.Cycles || g.Stats.Messages != s.Stats.Messages {
-		t.Fatalf("sharded (cycles=%d msgs=%d) != goroutine (cycles=%d msgs=%d)",
-			s.Stats.Cycles, s.Stats.Messages, g.Stats.Cycles, g.Stats.Messages)
+	if s.Stats.Cycles != 14+1+4 || s.Stats.Messages != 1 {
+		t.Fatalf("cycles=%d msgs=%d, want 19 and 1", s.Stats.Cycles, s.Stats.Messages)
 	}
 
 	// Crash inside the idle stretch: IdleN must fall back to per-cycle issue
 	// so the processor completes exactly 7 operations.
-	c := shardedCfg(3, 1)
+	c := cfg(3, 1)
 	c.Faults = &FaultPlan{Seed: 9, Crashes: []Crash{{Proc: 1, Cycle: 7}}}
 	res, err := RunUniform(c, func(pr Node) { pr.IdleN(20) })
 	var ce *CrashError
@@ -104,11 +75,11 @@ func TestShardedIdleNBatch(t *testing.T) {
 	}
 }
 
-// TestShardedLargeP exercises the p >> GOMAXPROCS regime the engine exists
+// TestShardedLargeP exercises the p >> GOMAXPROCS regime the engine is built
 // for: 4096 processors, real traffic, a ragged IdleN tail.
 func TestShardedLargeP(t *testing.T) {
 	const p, k, cycles = 4096, 8, 4
-	res, err := RunUniform(shardedCfg(p, k), func(pr Node) {
+	res, err := RunUniform(cfg(p, k), func(pr Node) {
 		id := pr.ID()
 		for c := 0; c < cycles; c++ {
 			if id == c*k/cycles { // unique writer per (cycle, channel 0)
@@ -127,8 +98,75 @@ func TestShardedLargeP(t *testing.T) {
 	}
 }
 
-// TestShardedNoLeakAfterAborts drives every abort flavour through the sharded
-// engine and checks that workers, processors and the run itself all drain:
+// TestShardRetirementChurn runs random ragged programs — processors
+// leaving at different cycles, IdleN stretches, phase markers — so that
+// whole shards retire from the worker barrier while others keep going, and
+// checks the exact cycle and message counts. A worker that retires lowers
+// the barrier head count for the next round; an arrival that read the head
+// count after that change resolved the round twice (double-counted cycles,
+// and a data race under -race).
+func TestShardRetirementChurn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 2000; iter++ {
+		runtime.GOMAXPROCS(2 + iter%3)
+		p := 4 + rng.Intn(40)
+		k := 1 + rng.Intn(p/2+1)
+		life := make([]int, p)
+		idle := make([]int, p)
+		for i := range life {
+			life[i] = rng.Intn(30)
+			idle[i] = rng.Intn(6)
+		}
+		// Processor id's cycle count; id < k writes its own channel id on
+		// its cycles c ≡ id (mod k), so writes never collide.
+		var wantCycles, wantMsgs int64
+		ops := func(id, c int) (cycles, writes int64) {
+			switch {
+			case id < k && c%k == id:
+				return 1, 1
+			case (c+id)%5 == 0:
+				return int64(idle[id]), 0
+			}
+			return 1, 0
+		}
+		for id := 0; id < p; id++ {
+			var n int64
+			for c := 0; c < life[id]; c++ {
+				cy, w := ops(id, c)
+				n += cy
+				wantMsgs += w
+			}
+			wantCycles = max(wantCycles, n)
+		}
+		res, err := RunUniform(cfg(p, k), func(pr Node) {
+			id := pr.ID()
+			for c := 0; c < life[id]; c++ {
+				if c == 3 && id%3 == 0 {
+					pr.Phase("churn")
+				}
+				switch cy, w := ops(id, c); {
+				case w == 1:
+					pr.WriteRead(id, MsgX(1, int64(c)), (id+c)%k)
+				case (c+id)%5 == 0:
+					pr.IdleN(int(cy))
+				default:
+					pr.Read((c + id) % k)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("iteration %d (p=%d k=%d): %v", iter, p, k, err)
+		}
+		if res.Stats.Cycles != wantCycles || res.Stats.Messages != wantMsgs {
+			t.Fatalf("iteration %d (p=%d k=%d): cycles=%d messages=%d, want %d and %d",
+				iter, p, k, res.Stats.Cycles, res.Stats.Messages, wantCycles, wantMsgs)
+		}
+	}
+}
+
+// TestShardedNoLeakAfterAborts drives every abort flavour through the engine
+// and checks that workers, processors and the run itself all drain:
 // a failure while workers sleep on their submission tokens and processors
 // park on their gates must wake everybody.
 func TestShardedNoLeakAfterAborts(t *testing.T) {
@@ -136,7 +174,7 @@ func TestShardedNoLeakAfterAborts(t *testing.T) {
 
 	for i := 0; i < 10; i++ {
 		// Collision.
-		_, err := RunUniform(shardedCfg(4, 2), func(pr Node) {
+		_, err := RunUniform(cfg(4, 2), func(pr Node) {
 			pr.Write(0, MsgX(1, int64(pr.ID())))
 			pr.IdleN(3)
 		})
@@ -146,7 +184,7 @@ func TestShardedNoLeakAfterAborts(t *testing.T) {
 		}
 
 		// Abortf, with the other processors parked mid-IdleN-batch.
-		_, err = RunUniform(shardedCfg(4, 2), func(pr Node) {
+		_, err = RunUniform(cfg(4, 2), func(pr Node) {
 			pr.Idle()
 			if pr.ID() == 1 {
 				pr.Idle()
@@ -163,7 +201,7 @@ func TestShardedNoLeakAfterAborts(t *testing.T) {
 		}
 
 		// Crash-stop of a whole shard: every processor a worker owns exits.
-		c := shardedCfg(4, 2)
+		c := cfg(4, 2)
 		c.Faults = &FaultPlan{Seed: uint64(i + 1), Crashes: []Crash{{Proc: 2, Cycle: 3}}}
 		_, err = Run(c, relayPrograms(4, 2, 10, nil))
 		var ce *CrashError
@@ -173,7 +211,7 @@ func TestShardedNoLeakAfterAborts(t *testing.T) {
 
 		// MaxCycles budget, firing while every processor sits in one big
 		// batch (the resolver aborts from inside a worker).
-		c = shardedCfg(4, 2)
+		c = cfg(4, 2)
 		c.MaxCycles = 16
 		_, err = RunUniform(c, func(pr Node) { pr.IdleN(1000) })
 		var be *BudgetError
@@ -189,7 +227,7 @@ func TestShardedNoLeakAfterAborts(t *testing.T) {
 // and the run must drain.
 func TestShardedStallWatchdog(t *testing.T) {
 	base := runtime.NumGoroutine()
-	c := shardedCfg(3, 1)
+	c := cfg(3, 1)
 	c.StallTimeout = 50 * time.Millisecond
 	progs := []func(Node){
 		func(pr Node) { pr.IdleN(8) },
@@ -208,81 +246,22 @@ func TestShardedStallWatchdog(t *testing.T) {
 	waitGoroutines(t, base, 3*time.Second)
 }
 
-// TestShardedSteadyStateZeroAllocs is the sharded-engine variant of
-// TestSteadyStateCycleZeroAllocs: worker rounds, gate handoffs and the batched
-// resolver must all be allocation-free in the steady state.
-func TestShardedSteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are perturbed under -race")
-	}
-	const p, k = 8, 2
-	run := func(cycles int, idleOnly bool) float64 {
-		c := Config{P: p, K: k, StallTimeout: time.Minute, Engine: EngineSharded}
-		return testingAllocsPerRun(t, c, cycles, idleOnly)
-	}
-	short := run(100, false)
-	long := run(2100, false)
-	if perCycle := (long - short) / 2000; perCycle > 0.01 {
-		t.Fatalf("sharded steady-state cycle allocates: %.4f allocs/cycle (short %.1f, long %.1f)",
-			perCycle, short, long)
-	}
-	shortIdle := run(100, true)
-	longIdle := run(2100, true)
-	if perCycle := (longIdle - shortIdle) / 2000; perCycle > 0.01 {
-		t.Fatalf("sharded idle cycle allocates: %.4f allocs/cycle (short %.1f, long %.1f)",
-			perCycle, shortIdle, longIdle)
-	}
-}
-
-// testingAllocsPerRun measures the average allocations of one run of the
-// write/read (or idle-only) steady-state workload under the given config.
-func testingAllocsPerRun(t *testing.T, c Config, cycles int, idleOnly bool) float64 {
+// crossProcsReports runs prog under c at each worker count in gmps and fails
+// unless the canonical Reports (with any run error folded into Extra) are
+// byte-identical across them.
+func crossProcsReports(t *testing.T, tag string, c Config, gmps []int, prog func(Node)) {
 	t.Helper()
-	return testing.AllocsPerRun(4, func() {
-		var res *Result
-		var err error
-		if idleOnly {
-			res, err = RunUniform(c, func(pr Node) { pr.IdleN(cycles) })
-		} else {
-			res, err = RunUniform(c, func(pr Node) {
-				id := pr.ID()
-				if id < c.K {
-					m := MsgX(1, int64(id))
-					for i := 0; i < cycles; i++ {
-						pr.WriteRead(id, m, id)
-					}
-					return
-				}
-				ch := id % c.K
-				for i := 0; i < cycles; i++ {
-					pr.Read(ch)
-				}
-			})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !idleOnly && res.Stats.Cycles != int64(cycles) {
-			t.Fatalf("ran %d cycles, want %d", res.Stats.Cycles, cycles)
-		}
-	})
-}
-
-// shardedVsGoroutineReport runs prog under c on both engines and fails unless
-// the two canonical Reports (with any run error folded into Extra) are
-// byte-identical.
-func shardedVsGoroutineReport(t *testing.T, tag string, c Config, prog func(Node)) {
-	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref []byte
-	for _, mode := range []EngineMode{EngineGoroutine, EngineSharded} {
+	for _, gmp := range gmps {
+		runtime.GOMAXPROCS(gmp)
 		rc := c
-		rc.Engine = mode
 		if rc.Faults != nil {
 			rc.Faults = rc.Faults.Clone()
 		}
 		res, err := RunUniform(rc, prog)
 		if res == nil {
-			t.Fatalf("%s engine=%s: nil result (err=%v)", tag, mode, err)
+			t.Fatalf("%s GOMAXPROCS=%d: nil result (err=%v)", tag, gmp, err)
 		}
 		rep := NewReport(rc, &res.Stats)
 		if err != nil {
@@ -295,17 +274,16 @@ func shardedVsGoroutineReport(t *testing.T, tag string, c Config, prog func(Node
 		if ref == nil {
 			ref = b
 		} else if !bytes.Equal(b, ref) {
-			t.Fatalf("%s: engine reports diverge:\n%s\n--- want ---\n%s", tag, b, ref)
+			t.Fatalf("%s: GOMAXPROCS=%d report diverges:\n%s\n--- want ---\n%s", tag, gmp, b, ref)
 		}
 	}
 }
 
 // TestShardedCrashStopMidCycle crash-stops processors in the middle of a
 // sparse segment — once while the victim is the sole active writer, once
-// while it sleeps inside an IdleN batch — across worker counts, and holds
-// the sharded engine's Report to the goroutine engine's byte for byte.
+// while it sleeps inside an IdleN batch — and holds the Report to byte
+// identity across worker counts.
 func TestShardedCrashStopMidCycle(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const p, k, segLen = 8, 2, 8
 	prog := func(pr Node) {
 		id := pr.ID()
@@ -323,13 +301,10 @@ func TestShardedCrashStopMidCycle(t *testing.T) {
 		{Proc: 2, Cycle: 20}, // mid-segment 2: proc 2 is the active writer
 		{Proc: 6, Cycle: 35}, // mid-segment 4: proc 6 is a mid-batch sleeper
 	}
-	for _, gmp := range []int{1, 4, runtime.NumCPU()} {
-		runtime.GOMAXPROCS(gmp)
-		for _, cr := range crashes {
-			c := cfg(p, k)
-			c.Faults = &FaultPlan{Seed: 3, Crashes: []Crash{cr}}
-			shardedVsGoroutineReport(t, fmt.Sprintf("GOMAXPROCS=%d crash=%+v", gmp, cr), c, prog)
-		}
+	for _, cr := range crashes {
+		c := cfg(p, k)
+		c.Faults = &FaultPlan{Seed: 3, Crashes: []Crash{cr}}
+		crossProcsReports(t, fmt.Sprintf("crash=%+v", cr), c, []int{1, 4, runtime.NumCPU()}, prog)
 	}
 }
 
@@ -344,7 +319,7 @@ func TestShardedAbortDuringScatter(t *testing.T) {
 	for _, gmp := range []int{1, 4, runtime.NumCPU()} {
 		runtime.GOMAXPROCS(gmp)
 		for abortCycle := 1; abortCycle <= 5; abortCycle++ {
-			_, err := RunUniform(shardedCfg(p, k), func(pr Node) {
+			_, err := RunUniform(cfg(p, k), func(pr Node) {
 				id := pr.ID()
 				for c := 0; c < 40; c++ {
 					switch {
@@ -372,10 +347,9 @@ func TestShardedAbortDuringScatter(t *testing.T) {
 // TestShardedIdleNBoundaries pins the sleeper wake arithmetic at its edges:
 // length-1 batches (the announcement round is the whole batch), back-to-back
 // batches, a batch whose wake cycle is the processor's last (straight into
-// exit), and phase markers attached to batch announcements. Both engines
-// must produce byte-identical Reports at every worker count.
+// exit), and phase markers attached to batch announcements. The Report must
+// match the per-cycle count and be byte-identical at every worker count.
 func TestShardedIdleNBoundaries(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	prog := func(pr Node) {
 		id := pr.ID()
 		pr.Phase("warm")
@@ -390,18 +364,23 @@ func TestShardedIdleNBoundaries(t *testing.T) {
 		pr.Phase("tail") // attached to the next batch's announcement
 		pr.IdleN(id + 1) // ragged: each processor wakes straight into exit
 	}
-	for _, gmp := range []int{1, 4, runtime.NumCPU()} {
-		runtime.GOMAXPROCS(gmp)
-		shardedVsGoroutineReport(t, fmt.Sprintf("GOMAXPROCS=%d", gmp), cfg(5, 1), prog)
+	res, err := RunUniform(cfg(5, 1), prog)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if warm, tail := res.Stats.PhaseByName("warm"), res.Stats.PhaseByName("tail"); warm == nil || tail == nil ||
+		warm.Cycles != 1+1+3+1 || tail.Cycles != 5 {
+		t.Fatalf("phases = %+v, want warm 6 cycles and tail 5", res.Stats.Phases)
+	}
+	crossProcsReports(t, "boundaries", cfg(5, 1), []int{1, 4, runtime.NumCPU()}, prog)
 }
 
-// TestShardedPanicUnwinds: a plain panic in a program under the sharded
-// engine surfaces as an engine error and the run drains (the panicking
-// processor exits the protocol; the survivors finish).
+// TestShardedPanicUnwinds: a plain panic in a program surfaces as an engine
+// error and the run drains (the panicking processor exits the protocol; the
+// survivors finish).
 func TestShardedPanicUnwinds(t *testing.T) {
 	base := runtime.NumGoroutine()
-	_, err := RunUniform(shardedCfg(4, 2), func(pr Node) {
+	_, err := RunUniform(cfg(4, 2), func(pr Node) {
 		pr.Idle()
 		if pr.ID() == 2 {
 			panic(fmt.Sprintf("boom from %d", pr.ID()))

@@ -189,7 +189,7 @@ func runHostDriver(pr Node, hostID, q, pv, kv int, program func(*VProc)) {
 					// virtual processor id stays structured: hostAbort
 					// raises an *AbortError carrying it, instead of
 					// attributing the failure to whichever engine processor
-					// (or sharded worker batch) stepped the virtual program.
+					// stepped the virtual program.
 					st.err = &vAbort{vproc: vp.id, msg: fmt.Sprintf("panicked: %v", r)}
 				}
 				close(vp.opCh)

@@ -65,17 +65,15 @@ func TestSimulateVProcPanicReported(t *testing.T) {
 	}
 }
 
-// TestSimulateVProcAbortSharded re-runs the virtual abort and panic
-// attribution under the sharded engine, where the host processors are stepped
-// by shared workers: the AbortError must still carry the virtual processor id
-// (not a worker's), the run must not wedge the worker rendezvous, and the
-// goroutine count must drain (virtual programs, host drivers, workers).
+// TestSimulateVProcAbortSharded repeats the virtual abort and panic
+// attribution, where the host processors are stepped by shared workers: the
+// AbortError must still carry the virtual processor id (not a worker's), the
+// run must not wedge the worker rendezvous, and the goroutine count must
+// drain (virtual programs, host drivers, workers).
 func TestSimulateVProcAbortSharded(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		host := simCfg(2, 1)
-		host.Engine = EngineSharded
-		_, err := SimulateUniform(host, 6, 2, func(v *VProc) {
+		_, err := SimulateUniform(simCfg(2, 1), 6, 2, func(v *VProc) {
 			v.Idle()
 			if v.ID() == 3 {
 				v.Abortf("deliberate virtual failure %d", v.ID())
@@ -90,9 +88,7 @@ func TestSimulateVProcAbortSharded(t *testing.T) {
 			t.Fatalf("iteration %d: AbortError = Proc %d / VProc %d, want Proc 1 / VProc 3", i, ae.Proc, ae.VProc)
 		}
 
-		host = simCfg(2, 1)
-		host.Engine = EngineSharded
-		_, err = SimulateUniform(host, 4, 2, func(v *VProc) {
+		_, err = SimulateUniform(simCfg(2, 1), 4, 2, func(v *VProc) {
 			v.Idle()
 			if v.ID() == 2 {
 				panic("boom")

@@ -114,36 +114,3 @@ func addVec(a, b []int64) []int64 {
 	}
 	return a
 }
-
-// WriteEvent records one channel write in a trace.
-type WriteEvent struct {
-	Proc int
-	Ch   int
-	Msg  Message
-}
-
-// ReadEvent records one channel read in a trace. OK reports whether the
-// channel was written this cycle (false = silence observed).
-type ReadEvent struct {
-	Proc int
-	Ch   int
-	Msg  Message
-	OK   bool
-}
-
-// CycleTrace records all traffic of one cycle. Phase is the name of the
-// accounting phase active during the cycle (empty before the first
-// Proc.Phase marker).
-type CycleTrace struct {
-	Cycle  int64
-	Phase  string
-	Writes []WriteEvent
-	Reads  []ReadEvent
-}
-
-// Trace is the full per-cycle communication record of a run. It is only
-// collected when Config.Trace is set; it exists for tests, debugging and
-// schedule validation, not for measurement.
-type Trace struct {
-	Cycles []CycleTrace
-}

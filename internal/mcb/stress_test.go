@@ -6,11 +6,12 @@ import (
 	"time"
 
 	"mcbnet/internal/dist"
+	"mcbnet/internal/trace"
 )
 
 // TestRandomLockStepStress drives the engine with randomized but
-// collision-free traffic and validates the trace against the model's
-// per-cycle constraints.
+// collision-free traffic and validates the recorded trace against the
+// schedule and the model's per-cycle constraints.
 func TestRandomLockStepStress(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		r := dist.NewRNG(uint64(1000 + trial))
@@ -32,7 +33,8 @@ func TestRandomLockStepStress(t *testing.T) {
 				}
 			}
 		}
-		cfgT := Config{P: p, K: k, Trace: true, StallTimeout: 10 * time.Second}
+		rec := trace.New(p, k, 2*cycles)
+		cfgT := Config{P: p, K: k, Recorder: rec, StallTimeout: 10 * time.Second}
 		res, err := RunUniform(cfgT, func(pr Node) {
 			id := pr.ID()
 			rl := dist.NewRNG(uint64(id))
@@ -68,20 +70,24 @@ func TestRandomLockStepStress(t *testing.T) {
 		if res.Stats.Messages != wantMsgs {
 			t.Fatalf("trial %d: messages %d, want %d", trial, res.Stats.Messages, wantMsgs)
 		}
-		for c, tr := range res.Trace.Cycles {
-			for _, w := range tr.Writes {
-				if writers[c][w.Ch] != w.Proc {
+		for _, e := range rec.Events() {
+			c := e.Cycle
+			switch e.Kind {
+			case trace.KindWrite:
+				if writers[c][e.Ch] != int(e.Proc) {
 					t.Fatalf("trial %d cycle %d: writer %d on ch %d, want %d",
-						trial, c, w.Proc, w.Ch, writers[c][w.Ch])
+						trial, c, e.Proc, e.Ch, writers[c][e.Ch])
 				}
-			}
-			for _, e := range tr.Reads {
-				wrote := writers[c][e.Ch] >= 0
-				if e.OK != wrote {
+			case trace.KindRead, trace.KindSilence:
+				ok, wrote := e.Kind == trace.KindRead, writers[c][e.Ch] >= 0
+				if ok != wrote {
 					t.Fatalf("trial %d cycle %d: read ok=%v but channel written=%v",
-						trial, c, e.OK, wrote)
+						trial, c, ok, wrote)
 				}
 			}
+		}
+		if err := ValidateTrace(rec, p, k); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
@@ -137,10 +143,13 @@ func TestManyProcessorsOneCycle(t *testing.T) {
 	}
 }
 
-// TestBarrierAbortStorm is the lost-wakeup regression for the barrier park
-// protocol (engine.await / engine.advance / engine.abort), pinned to
-// GOMAXPROCS=1 where busySpins == 0 and every waiter actually parks on
-// barCond instead of catching the generation bump while spinning.
+// TestBarrierAbortStorm is the lost-wakeup regression for the worker
+// barrier's park protocol (engine.await / engine.advance / engine.abort). It
+// alternates GOMAXPROCS=2 and GOMAXPROCS=4 (oversubscribed on small
+// machines), i.e. two and four shard workers, so workers that arrive early
+// burn their spin and yield budget while a laggard processor holds its own
+// worker back, and actually park on barCond instead of catching the
+// generation bump while spinning.
 //
 // The protocol's soundness argument (audited with this test as its witness):
 // a waiter publishes parked.Add(1) under barMu and then re-checks the
@@ -152,19 +161,21 @@ func TestManyProcessorsOneCycle(t *testing.T) {
 // until Wait releases it, so the wakeup cannot slip between the waiter's
 // re-check and its Wait), or the waiter's re-check observes the new
 // generation / failed flag and never parks. A regression in that ordering
-// makes a waiter sleep forever; this test turns it into a hang caught by the
+// makes a worker sleep forever; this test turns it into a hang caught by the
 // deadline below, hammering aborts from every protocol stage: mid-cycle
 // Abortf, collisions detected by the resolver, and a laggard that forces the
-// other processors past their yield budget into the parked state first.
+// other workers past their yield budget into the parked state first.
 func TestBarrierAbortStorm(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	runtime.GOMAXPROCS(1)
 
 	const p, k = 8, 2
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 150; i++ {
+			// Two or four workers: the shard layout is fixed when the run
+			// starts, at min(GOMAXPROCS, p) workers.
+			runtime.GOMAXPROCS(2 + 2*(i%2))
 			abortCycle := i % 7
 			aborter := i % p
 			laggard := (i + 3) % p

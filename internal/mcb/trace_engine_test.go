@@ -37,11 +37,9 @@ func traceJSONL(t *testing.T, cfg Config, p, k, cycles int) ([]byte, Stats) {
 }
 
 // TestTraceDeterminism holds recorded traces to byte-identical JSONL across
-// GOMAXPROCS settings and repeated runs, for all three resolver situations:
-// a recorder on an otherwise fast-eligible run, a recorder alongside the
-// legacy full trace, and a recorder on a faulted run (drops, corruption,
-// outage, crash-stop). The first two must also agree with each other — the
-// legacy trace must not perturb the event stream.
+// GOMAXPROCS settings and repeated runs, for a recorder on an otherwise
+// fast-eligible run and a recorder on a faulted run (drops, corruption,
+// outage, crash-stop).
 func TestTraceDeterminism(t *testing.T) {
 	const p, k, cycles = 9, 3, 96
 	plan := &FaultPlan{
@@ -61,15 +59,11 @@ func TestTraceDeterminism(t *testing.T) {
 			tag := fmt.Sprintf("GOMAXPROCS=%d rep=%d", gmp, rep)
 
 			plain, _ := traceJSONL(t, detConfig(p, k, nil, false), p, k, cycles)
-			withLegacy, _ := traceJSONL(t, detConfig(p, k, nil, true), p, k, cycles)
 			if plainRef == nil {
 				plainRef = plain
 			}
 			if !bytes.Equal(plain, plainRef) {
 				t.Fatalf("%s: recorded trace diverged from reference", tag)
-			}
-			if !bytes.Equal(withLegacy, plainRef) {
-				t.Fatalf("%s: legacy Trace perturbed the recorded events", tag)
 			}
 
 			faulty, _ := traceJSONL(t, detConfig(p, k, plan.Clone(), false), p, k, cycles)

@@ -3,12 +3,14 @@ package mcb
 import (
 	"strings"
 	"testing"
+
+	"mcbnet/internal/trace"
 )
 
 func TestValidateTraceAcceptsRealRun(t *testing.T) {
 	c := cfg(8, 4)
-	c.Trace = true
-	res, err := RunUniform(c, func(pr Node) {
+	c.Recorder = trace.New(8, 4, 64)
+	_, err := RunUniform(c, func(pr Node) {
 		id := pr.ID()
 		for i := 0; i < 20; i++ {
 			if id < 4 {
@@ -21,64 +23,50 @@ func TestValidateTraceAcceptsRealRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateTrace(res.Trace, 8, 4); err != nil {
+	if err := ValidateTrace(c.Recorder, 8, 4); err != nil {
 		t.Fatal(err)
 	}
-	u := TraceUtilization(res.Trace, 4)
-	if u.Overall != 1.0 {
-		t.Errorf("overall utilization = %f, want 1.0 (all channels busy every cycle)", u.Overall)
-	}
-	for ch, f := range u.PerChannel {
-		if f != 1.0 {
-			t.Errorf("channel %d utilization %f", ch, f)
-		}
+	sums := trace.Summarize(c.Recorder.Events(), c.Recorder.Phases(), 4)
+	if len(sums) != 1 || sums[0].Utilization != 1.0 {
+		t.Errorf("summaries = %+v, want one phase at utilization 1.0 (all channels busy every cycle)", sums)
 	}
 }
 
 func TestValidateTraceRejectsCorruptTraces(t *testing.T) {
-	mk := func(cycles ...CycleTrace) *Trace { return &Trace{Cycles: cycles} }
-	msg := MsgX(0, 1)
+	// ev builds a recorded event of cycle 0; arg is the message word.
+	ev := func(kind trace.Kind, proc, ch int32, arg int64) trace.Event {
+		return trace.Event{Kind: kind, Proc: proc, Ch: ch, Arg: arg, Phase: -1}
+	}
+	w := func(proc, ch int32) trace.Event { return ev(trace.KindWrite, proc, ch, 1) }
 	cases := []struct {
-		name string
-		tr   *Trace
-		want string
+		name   string
+		events []trace.Event
+		want   string
 	}{
-		{"nil", nil, "nil trace"},
-		{"channel-collision", mk(CycleTrace{Writes: []WriteEvent{{Proc: 0, Ch: 0, Msg: msg}, {Proc: 1, Ch: 0, Msg: msg}}}), "written twice"},
-		{"double-write", mk(CycleTrace{Writes: []WriteEvent{{Proc: 0, Ch: 0, Msg: msg}, {Proc: 0, Ch: 1, Msg: msg}}}), "writes twice"},
-		{"double-read", mk(CycleTrace{Reads: []ReadEvent{{Proc: 0, Ch: 0}, {Proc: 0, Ch: 1}}}), "reads twice"},
-		{"bad-channel", mk(CycleTrace{Writes: []WriteEvent{{Proc: 0, Ch: 9, Msg: msg}}}), "out of range"},
-		{"bad-proc", mk(CycleTrace{Writes: []WriteEvent{{Proc: 42, Ch: 0, Msg: msg}}}), "out of range"},
-		{"phantom-read", mk(CycleTrace{Reads: []ReadEvent{{Proc: 0, Ch: 0, OK: true, Msg: msg}}}), "written=false"},
-		{"wrong-payload", mk(CycleTrace{
-			Writes: []WriteEvent{{Proc: 0, Ch: 0, Msg: msg}},
-			Reads:  []ReadEvent{{Proc: 1, Ch: 0, OK: true, Msg: MsgX(0, 2)}},
-		}), "differs"},
+		{"nil", nil, "nil recorder"},
+		{"channel-collision", []trace.Event{w(0, 0), w(1, 0)}, "written twice"},
+		{"collision-event", []trace.Event{ev(trace.KindCollision, 1, 0, 0)}, "written twice"},
+		{"double-write", []trace.Event{w(0, 0), w(0, 1)}, "writes twice"},
+		{"double-read", []trace.Event{ev(trace.KindSilence, 0, 0, 0), ev(trace.KindSilence, 0, 1, 0)}, "reads twice"},
+		{"bad-channel", []trace.Event{w(0, 9)}, "out of range"},
+		{"bad-read-channel", []trace.Event{ev(trace.KindSilence, 0, -1, 0)}, "out of range"},
+		{"bad-proc", []trace.Event{w(42, 0)}, "out of range"},
+		{"phantom-read", []trace.Event{ev(trace.KindRead, 0, 0, 1)}, "written=false"},
+		{"lost-message", []trace.Event{ev(trace.KindSilence, 0, 0, 0), w(1, 0)}, "written=true"},
+		{"wrong-payload", []trace.Event{w(0, 0), ev(trace.KindRead, 1, 0, 2)}, "differs"},
+		{"overwritten", make([]trace.Event, 65), "overwrote"},
 	}
 	for _, c := range cases {
-		err := ValidateTrace(c.tr, 4, 2)
+		var rec *trace.Recorder
+		if c.events != nil {
+			rec = trace.New(64, 2, 64)
+			for _, e := range c.events {
+				rec.Record(e)
+			}
+		}
+		err := ValidateTrace(rec, 4, 2)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.want)
 		}
-	}
-}
-
-func TestTraceUtilizationPartial(t *testing.T) {
-	tr := &Trace{Cycles: []CycleTrace{
-		{Writes: []WriteEvent{{Proc: 0, Ch: 0, Msg: MsgX(0, 1)}}},
-		{Writes: []WriteEvent{{Proc: 0, Ch: 0, Msg: MsgX(0, 1)}, {Proc: 1, Ch: 1, Msg: MsgX(0, 2)}}},
-		{},
-		{Writes: []WriteEvent{{Proc: 1, Ch: 1, Msg: MsgX(0, 3)}}},
-	}}
-	u := TraceUtilization(tr, 2)
-	if u.PerChannel[0] != 0.5 || u.PerChannel[1] != 0.5 {
-		t.Errorf("per-channel = %v", u.PerChannel)
-	}
-	if u.Overall != 0.5 {
-		t.Errorf("overall = %f", u.Overall)
-	}
-	empty := TraceUtilization(nil, 2)
-	if empty.Overall != 0 {
-		t.Errorf("nil trace utilization = %f", empty.Overall)
 	}
 }

@@ -38,8 +38,10 @@ type Config struct {
 	Instances int
 	// P and K are the geometry of every pooled network. Defaults 32, 8.
 	P, K int
-	// Engine selects the execution engine for pooled runs.
-	Engine mcb.EngineMode
+	// Deprecated: Engine is ignored; the engine has a single execution
+	// mode. The field remains only until the benchmark module stops reading
+	// it.
+	Engine string
 	// BatchWindow is how long an instance holds the first job of a batch
 	// open for siblings to coalesce with. Default 2ms.
 	BatchWindow time.Duration
@@ -314,7 +316,6 @@ func (p *Pool) executeBatch(batch []*task) {
 	}
 	results, err := core.RunBatch(jobs, core.BatchOptions{
 		P: p.cfg.P, K: p.cfg.K,
-		Engine:       p.cfg.Engine,
 		StallTimeout: p.cfg.StallTimeout,
 	})
 	p.runs.Add(1)
@@ -346,7 +347,6 @@ func (p *Pool) executeSolo(t *task) {
 	} else {
 		results, err := core.RunBatch([]core.BatchJob{t.req.Job}, core.BatchOptions{
 			P: p.cfg.P, K: p.cfg.K,
-			Engine:       p.cfg.Engine,
 			StallTimeout: p.cfg.StallTimeout,
 			NoCoalesce:   true,
 		})
@@ -395,7 +395,7 @@ func (p *Pool) executeFaulted(req JobRequest) JobOutcome {
 	case core.BatchSort, core.BatchTopK:
 		opts := core.SortOptions{
 			K: p.cfg.K, Order: job.Order,
-			Engine: p.cfg.Engine, MaxCycles: job.MaxCycles, StallTimeout: p.cfg.StallTimeout,
+			MaxCycles: job.MaxCycles, StallTimeout: p.cfg.StallTimeout,
 			Faults: req.Faults, Retry: retry,
 		}
 		if job.Op == core.BatchTopK {
@@ -430,7 +430,7 @@ func (p *Pool) executeFaulted(req JobRequest) JobOutcome {
 		for i, d := range ds {
 			v, rep, err := core.SelectWithRetry(inputs, core.SelectOptions{
 				K: p.cfg.K, D: d,
-				Engine: p.cfg.Engine, MaxCycles: job.MaxCycles, StallTimeout: p.cfg.StallTimeout,
+				MaxCycles: job.MaxCycles, StallTimeout: p.cfg.StallTimeout,
 				// Each selection re-seeds its plan so repeated queries do
 				// not replay the identical fault timeline.
 				Faults: reseed(req.Faults, i), Retry: retry,

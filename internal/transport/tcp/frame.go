@@ -1,6 +1,6 @@
 // Package tcp is the networked Transport: one OS process per processor
 // group, plus a sequencer process that hosts the real in-process engine and
-// resolves every cycle with the existing resolveFast/resolveGeneral. Peers
+// resolves every cycle with the existing resolveMerge/resolveGeneral. Peers
 // run their processors' actual programs against a remote Node whose cycle
 // ops travel to the sequencer as length-prefixed, FNV-1a-checksummed,
 // sequence-numbered frames; inside the sequencer each remote processor is a

@@ -68,7 +68,7 @@ func (o *SequencerOptions) defaults() {
 
 // Sequencer accepts peer connections and runs their proposed engine rounds
 // on the real in-process engine: each remote processor is a relay goroutine
-// that replays the peer's cycle ops into a local mcb.Node, so resolveFast /
+// that replays the peer's cycle ops into a local mcb.Node, so resolveMerge /
 // resolveGeneral, the fault plane, stats and phase accounting are the
 // engine's own code and a distributed Report is byte-identical to an
 // in-process one.

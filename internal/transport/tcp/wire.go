@@ -115,13 +115,12 @@ type abortBody struct {
 // wireConfig is the canonical engine configuration of a round. Every peer
 // must propose byte-identical config JSON — the sequencer rejects divergence
 // (which would mean the peers' drivers are no longer executing the same
-// deterministic computation). Local-only knobs (Recorder, ProfileLabels,
-// AbortGrace) stay out; Trace is rejected outright (the trace lives in the
-// sequencer's engine and is not shipped back).
+// deterministic computation). Local-only knobs (ProfileLabels, AbortGrace)
+// stay out; a Recorder is rejected outright (its events would live in the
+// sequencer's engine and are not shipped back).
 type wireConfig struct {
 	P         int            `json:"p"`
 	K         int            `json:"k"`
-	Engine    string         `json:"engine,omitempty"`
 	MaxCycles int64          `json:"max_cycles,omitempty"`
 	StallNS   int64          `json:"stall_ns,omitempty"`
 	MaxAbs    int64          `json:"max_abs,omitempty"`
@@ -129,12 +128,11 @@ type wireConfig struct {
 }
 
 func encodeConfig(cfg mcb.Config) ([]byte, error) {
-	if cfg.Trace || cfg.Recorder != nil {
-		return nil, errors.New("tcp: Trace/Recorder are not supported over the tcp transport (they observe the sequencer's engine, not the peers)")
+	if cfg.Recorder != nil {
+		return nil, errors.New("tcp: a Recorder is not supported over the tcp transport (it observes the sequencer's engine, not the peers)")
 	}
 	return json.Marshal(wireConfig{
 		P: cfg.P, K: cfg.K,
-		Engine:    string(cfg.Engine),
 		MaxCycles: cfg.MaxCycles,
 		StallNS:   int64(cfg.StallTimeout),
 		MaxAbs:    cfg.MaxAbs,
@@ -149,7 +147,6 @@ func decodeConfig(b []byte) (mcb.Config, error) {
 	}
 	return mcb.Config{
 		P: w.P, K: w.K,
-		Engine:       mcb.EngineMode(w.Engine),
 		MaxCycles:    w.MaxCycles,
 		StallTimeout: time.Duration(w.StallNS),
 		MaxAbs:       w.MaxAbs,

@@ -1,7 +1,7 @@
 // Package transport defines the seam between the MCB algorithms and the
 // machinery that executes their engine rounds. The algorithm drivers
-// (internal/core) are written against Transport; the in-process engines
-// (internal/mcb's barrier and sharded modes) sit behind Local, and
+// (internal/core) are written against Transport; the in-process engine
+// (internal/mcb) sits behind Local, and
 // internal/transport/tcp runs the same rounds across OS processes with a
 // sequencer resolving cycles over length-prefixed checksummed frames.
 //
@@ -49,9 +49,9 @@ type Transport interface {
 	Close() error
 }
 
-// Local is the in-process Transport: rounds run on the existing barrier or
-// sharded engine (per cfg.Engine), byte-for-byte unchanged on the fast path,
-// and exchanges are the identity (every processor already shares memory).
+// Local is the in-process Transport: rounds run on the in-process engine,
+// byte-for-byte unchanged on the fast path, and exchanges are the identity
+// (every processor already shares memory).
 type Local struct{}
 
 // Run executes the round on the in-process engine.

@@ -261,9 +261,16 @@ func testStall(t *testing.T, f Factory) {
 	tr := f(t, p, k)
 	defer tr.Close()
 
+	// The wedged processor is released either by the timer or, if the run
+	// returns first, by the deferred Stop below — exactly once, so the
+	// drained goroutines satisfy leakCheck however long the run took.
 	unblock := make(chan struct{})
 	timer := time.AfterFunc(1500*time.Millisecond, func() { close(unblock) })
-	defer timer.Stop()
+	defer func() {
+		if timer.Stop() {
+			close(unblock)
+		}
+	}()
 
 	progs := make([]func(mcb.Node), p)
 	for i := 0; i < p; i++ {
@@ -286,7 +293,6 @@ func testStall(t *testing.T, f Factory) {
 	if len(se.Stalled) == 0 {
 		t.Errorf("stall carries no per-processor diagnostics")
 	}
-	timer.Reset(0) // unblock now; the drained goroutines satisfy leakCheck
 }
 
 // testCancel requires context cancellation mid-run to return a typed

@@ -16,6 +16,11 @@
 //   - Select: selection by rank via median-of-medians filtering —
 //     Theta(p log(kn/p)) messages and Theta((p/k) log(kn/p)) cycles.
 //
+// One engine runs every network: each processor program is a goroutine, and
+// ~GOMAXPROCS shard workers make the cycles lock-step, so cycles, messages
+// and reports are identical at every GOMAXPROCS (see DESIGN.md "Engine
+// internals").
+//
 // This file re-exports the library's public surface; the implementation
 // lives under internal/ (see DESIGN.md for the system inventory).
 package mcbnet
@@ -71,27 +76,6 @@ const (
 const (
 	SelFiltering    = core.SelFiltering
 	SelSortBaseline = core.SelSortBaseline
-)
-
-// EngineMode selects the execution engine that steps the p processors of a
-// run (SortOptions.Engine / SelectOptions.Engine). Both engines produce
-// byte-identical reports; they differ only in how cycles are scheduled onto
-// OS threads.
-type EngineMode = mcb.EngineMode
-
-// Execution engine constants.
-const (
-	// EngineAuto (the zero value) picks per run: sharded coordination once
-	// p reaches the p >> cores regime, the classic barrier below it.
-	EngineAuto = mcb.EngineAuto
-	// EngineGoroutine coordinates all p processor goroutines through one
-	// sense-reversing barrier — the classic engine, best when p is within a
-	// small factor of the core count.
-	EngineGoroutine = mcb.EngineGoroutine
-	// EngineSharded rendezvouses ~GOMAXPROCS shard workers instead of p
-	// processors, batching idle stretches without waking their processors —
-	// the p >> cores engine (see DESIGN.md "Engine internals").
-	EngineSharded = mcb.EngineSharded
 )
 
 // Failure plane: deterministic fault injection, the typed error taxonomy,
@@ -174,7 +158,8 @@ func NewDirCheckpointStore(dir string) (CheckpointStore, error) {
 // Cycle tracing: the structured observability plane (see internal/trace and
 // DESIGN.md "Observability"). Attach a recorder via SortOptions.Recorder /
 // SelectOptions.Recorder, then export the captured run as JSONL or
-// Perfetto-loadable Chrome trace-event JSON.
+// Perfetto-loadable Chrome trace-event JSON. A recorder costs no allocations
+// per event, but it moves the run onto the engine's serial resolver.
 type (
 	// TraceRecorder collects fixed-size per-cycle events (writes, reads,
 	// silences, idles, collisions, faults, phase switches) in preallocated
@@ -265,7 +250,7 @@ type (
 	// BatchResult is the per-job outcome; Batched reports whether a shared
 	// run served it.
 	BatchResult = core.BatchResult
-	// BatchOptions fixes the network geometry and engine for a batch.
+	// BatchOptions fixes the network geometry for a batch.
 	BatchOptions = core.BatchOptions
 	// BatchOp names the operation of a BatchJob.
 	BatchOp = core.BatchOp
