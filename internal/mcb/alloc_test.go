@@ -1,6 +1,7 @@
 package mcb
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -19,8 +20,16 @@ import (
 // runs) attaching the cycle recorder.
 func allocsForRun(t *testing.T, p, k, cycles, markerEvery int, rec *trace.Recorder) float64 {
 	t.Helper()
+	return testing.AllocsPerRun(4, steadyRun(t, p, k, cycles, markerEvery, rec))
+}
+
+// steadyRun returns one run of the steady-state workload measured by
+// allocsForRun: the first k processors WriteRead their own channel every
+// cycle, the rest read one.
+func steadyRun(t *testing.T, p, k, cycles, markerEvery int, rec *trace.Recorder) func() {
+	t.Helper()
 	cfg := Config{P: p, K: k, StallTimeout: time.Minute, Recorder: rec}
-	return testing.AllocsPerRun(4, func() {
+	return func() {
 		res, err := RunUniform(cfg, func(pr Node) {
 			id := pr.ID()
 			if id < k {
@@ -44,13 +53,41 @@ func allocsForRun(t *testing.T, p, k, cycles, markerEvery int, rec *trace.Record
 		if res.Stats.Cycles != int64(cycles) {
 			t.Fatalf("ran %d cycles, want %d", res.Stats.Cycles, cycles)
 		}
-	})
+	}
+}
+
+// idleRun returns one run in which every processor sleeps for cycles in a
+// single IdleN batch: only the bare worker barrier turns.
+func idleRun(t *testing.T, p, k, cycles int) func() {
+	t.Helper()
+	cfg := Config{P: p, K: k, StallTimeout: time.Minute}
+	return func() {
+		if _, err := RunUniform(cfg, func(pr Node) { pr.IdleN(cycles) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin: it
+// counts heap allocations across the whole process, averaged over runs
+// calls of f after one warm-up call, at the caller's GOMAXPROCS.
+func mallocsPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 // TestSteadyStateCycleZeroAllocs asserts that steady-state cycles are
 // allocation-free — worker rounds, gate handoffs, the fold/merge/scatter
 // stages and the IdleN sleeper heap alike: growing a run by 2000 cycles must
-// not grow its allocation count.
+// not grow its allocation count. testing.AllocsPerRun pins GOMAXPROCS to 1,
+// and the engine sizes its worker set from GOMAXPROCS, so this is the
+// one-worker engine; TestShardedSteadyStateZeroAllocs covers several.
 func TestSteadyStateCycleZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -65,16 +102,8 @@ func TestSteadyStateCycleZeroAllocs(t *testing.T) {
 	}
 	// Idle-only cycles (the bare worker barrier, every processor asleep in
 	// one IdleN batch) must be allocation-free too.
-	idle := func(cycles int) float64 {
-		cfg := Config{P: p, K: k, StallTimeout: time.Minute}
-		return testing.AllocsPerRun(4, func() {
-			if _, err := RunUniform(cfg, func(pr Node) { pr.IdleN(cycles) }); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	shortIdle := idle(100)
-	longIdle := idle(2100)
+	shortIdle := testing.AllocsPerRun(4, idleRun(t, p, k, 100))
+	longIdle := testing.AllocsPerRun(4, idleRun(t, p, k, 2100))
 	if perCycle := (longIdle - shortIdle) / 2000; perCycle > 0.01 {
 		t.Fatalf("steady-state idle cycle allocates: %.4f allocs/cycle (short %.1f, long %.1f)",
 			perCycle, shortIdle, longIdle)

@@ -13,8 +13,8 @@ import (
 // Tests of the shard-worker machinery: failure-path unwinding (no goroutine
 // leaks, no wedged barriers), the IdleN batch replay and large-p operation,
 // across worker counts. The cross-path and cross-GOMAXPROCS Report
-// equivalence lives in determinism_test.go, the zero-alloc steady state in
-// alloc_test.go.
+// equivalence lives in determinism_test.go, the one-worker zero-alloc steady
+// state in alloc_test.go.
 
 // TestShardedRelayTraffic runs real collision-free traffic (every processor
 // writes in turn, everyone reads) and checks the model accounting, at worker
@@ -72,6 +72,37 @@ func TestShardedIdleNBatch(t *testing.T) {
 	}
 	if len(res.Stats.Faults.Crashes) != 1 || res.Stats.Faults.Crashes[0].Cycle != 7 {
 		t.Fatalf("crash events = %+v, want one crash after cycle 7", res.Stats.Faults.Crashes)
+	}
+}
+
+// TestShardedSteadyStateZeroAllocs is the multi-worker variant of
+// TestSteadyStateCycleZeroAllocs: at 2 and 4 workers the cross-worker merge,
+// the per-worker scatter and the gate handoffs between workers must be
+// allocation-free in the steady state too, busy and idle alike. It counts
+// mallocs itself, since testing.AllocsPerRun would pin GOMAXPROCS to 1. With
+// several Ps the runtime's per-P goroutine and sudog caches make a run's
+// set-up cost vary by a few dozen allocations, so the two runs differ by
+// 20000 cycles, not 2000, to keep that noise well below the bound.
+func TestShardedSteadyStateZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const p, k, gap = 8, 2, 20000
+	for _, gmp := range []int{2, 4} {
+		runtime.GOMAXPROCS(gmp)
+		short := mallocsPerRun(4, steadyRun(t, p, k, 100, 0, nil))
+		long := mallocsPerRun(4, steadyRun(t, p, k, 100+gap, 0, nil))
+		if perCycle := (long - short) / gap; perCycle > 0.01 {
+			t.Fatalf("GOMAXPROCS=%d: steady-state cycle allocates: %.4f allocs/cycle (short %.1f, long %.1f)",
+				gmp, perCycle, short, long)
+		}
+		shortIdle := mallocsPerRun(4, idleRun(t, p, k, 100))
+		longIdle := mallocsPerRun(4, idleRun(t, p, k, 100+gap))
+		if perCycle := (longIdle - shortIdle) / gap; perCycle > 0.01 {
+			t.Fatalf("GOMAXPROCS=%d: idle cycle allocates: %.4f allocs/cycle (short %.1f, long %.1f)",
+				gmp, perCycle, shortIdle, longIdle)
+		}
 	}
 }
 
