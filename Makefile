@@ -1,6 +1,8 @@
 # Development targets. `make verify` is the gate CI and pre-commit use;
-# `make lint` mirrors the CI lint job (staticcheck and govulncheck are
-# skipped with a note when not installed — CI always runs them).
+# `make lint` mirrors the CI lint job: vet, a gofmt check over the whole
+# tree (the nested benchmark module included), staticcheck and govulncheck
+# (the last two are skipped with a note when not installed — CI always runs
+# them).
 
 GO ?= go
 
@@ -30,6 +32,9 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 lint: vet
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "lint: gofmt would reformat:"; echo "$$out"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -14,8 +14,9 @@ package crew
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
+
+	"mcbnet/internal/lockstep"
 )
 
 // Value is the content of one shared memory cell: a constant number of
@@ -55,221 +56,107 @@ type Result struct {
 // ErrAborted is wrapped by all abort errors.
 var ErrAborted = errors.New("crew: run aborted")
 
-type opKind uint8
-
 const (
-	opNone opKind = 1 << iota
-	opRead
+	opRead uint8 = 1 << iota
 	opWrite
-	opExit opKind = 0
 )
 
+// stepOp is one processor's access in a step: kind is a bitmask of
+// opRead|opWrite, and 0 idles.
 type stepOp struct {
-	kind      opKind // bitmask of opRead|opWrite; 0 = exit; opNone = idle
+	kind      uint8
 	readCell  int
 	writeCell int
 	writeVal  Value
 }
 
-type generation struct{ ch chan struct{} }
-
 // Proc is the per-processor handle. Each step every live processor must
 // call exactly one of Step, Read, Write or Idle.
 type Proc struct {
-	id int
-	e  *engine
+	lp *lockstep.Proc[stepOp, Value]
+	m  *machine
 }
 
 // ID returns the processor index.
-func (p *Proc) ID() int { return p.id }
+func (p *Proc) ID() int { return p.lp.ID() }
 
 // P returns the number of processors.
-func (p *Proc) P() int { return p.e.cfg.P }
+func (p *Proc) P() int { return p.m.cfg.P }
 
 // Cells returns the shared memory size.
-func (p *Proc) Cells() int { return p.e.cfg.Cells }
+func (p *Proc) Cells() int { return p.m.cfg.Cells }
 
 // Step reads readCell and writes writeVal to writeCell in one synchronous
 // step; the read observes the pre-step memory.
 func (p *Proc) Step(readCell int, writeCell int, writeVal Value) Value {
-	r := p.e.step(p.id, stepOp{kind: opRead | opWrite, readCell: readCell, writeCell: writeCell, writeVal: writeVal})
-	return r
+	return p.lp.Step(stepOp{kind: opRead | opWrite, readCell: readCell, writeCell: writeCell, writeVal: writeVal})
 }
 
 // Read reads one cell this step.
 func (p *Proc) Read(cell int) Value {
-	return p.e.step(p.id, stepOp{kind: opRead, readCell: cell})
+	return p.lp.Step(stepOp{kind: opRead, readCell: cell})
 }
 
 // Write writes one cell this step.
 func (p *Proc) Write(cell int, v Value) {
-	p.e.step(p.id, stepOp{kind: opWrite, writeCell: cell, writeVal: v})
+	p.lp.Step(stepOp{kind: opWrite, writeCell: cell, writeVal: v})
 }
 
 // Idle spends one step without touching memory.
 func (p *Proc) Idle() {
-	p.e.step(p.id, stepOp{kind: opNone})
+	p.lp.Step(stepOp{})
 }
 
 // Abortf fails the whole computation.
 func (p *Proc) Abortf(format string, args ...any) {
-	err := fmt.Errorf("%w: processor %d: %s", ErrAborted, p.id, fmt.Sprintf(format, args...))
-	p.e.abort(err)
-	panic(crewAbort{err})
+	p.lp.Abortf(format, args...)
 }
 
-type crewAbort struct{ err error }
-
-type engine struct {
+// machine is the shared memory and its accounting, touched during a run
+// only by resolve.
+type machine struct {
 	cfg     Config
 	mem     []Value
 	touched []bool
-	slots   []stepOp
-	results []Value
-	live    []bool
-	liveN   int
-
-	mu       sync.Mutex
-	arrived  int32
-	expected int32
-	gen      *generation
-
-	stats    Stats
-	steps    int64
-	failed   bool
-	abortErr error
-	aborted  chan struct{}
-	abortOne sync.Once
-	allDone  chan struct{}
+	writer  map[int]int // cell -> the processor that wrote it this step
+	stats   Stats
 }
 
-func (e *engine) abort(err error) {
-	e.mu.Lock()
-	if e.abortErr == nil {
-		e.abortErr = err
-	}
-	e.failed = true
-	e.mu.Unlock()
-	e.abortOne.Do(func() { close(e.aborted) })
-}
-
-func (e *engine) isFailed() (bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.failed, e.abortErr
-}
-
-func (e *engine) step(id int, op stepOp) Value {
-	if failed, err := e.isFailed(); failed {
-		panic(crewAbort{err})
-	}
-	e.mu.Lock()
-	g := e.gen
-	e.slots[id] = op
-	e.arrived++
-	leader := e.arrived == e.expected
-	e.mu.Unlock()
-	if leader {
-		e.resolve(g)
-		if op.kind == opExit {
-			return Value{}
-		}
-		if failed, err := e.isFailed(); failed {
-			panic(crewAbort{err})
-		}
-		return e.results[id]
-	}
-	if op.kind == opExit {
-		return Value{}
-	}
-	select {
-	case <-g.ch:
-	case <-e.aborted:
-		_, err := e.isFailed()
-		panic(crewAbort{err})
-	}
-	if failed, err := e.isFailed(); failed {
-		panic(crewAbort{err})
-	}
-	return e.results[id]
-}
-
-func (e *engine) resolve(g *generation) {
-	p := e.cfg.P
-	anyWork := false
-	// Read phase: observe pre-step memory.
-	for id := 0; id < p; id++ {
-		if !e.live[id] {
+// resolve performs one step: every read observes the pre-step memory, then
+// the writes land, at most one per cell.
+func (m *machine) resolve(ops []stepOp, active []bool, results []Value) error {
+	for id := range ops {
+		op := &ops[id]
+		if !active[id] || op.kind&opRead == 0 {
 			continue
 		}
-		op := &e.slots[id]
-		if op.kind&opRead != 0 {
-			if op.readCell < 0 || op.readCell >= e.cfg.Cells {
-				e.abort(fmt.Errorf("%w: processor %d read invalid cell %d", ErrAborted, id, op.readCell))
-				close(g.ch)
-				return
-			}
-			e.results[id] = e.mem[op.readCell]
-			e.stats.Reads++
+		if op.readCell < 0 || op.readCell >= m.cfg.Cells {
+			return fmt.Errorf("%w: processor %d read invalid cell %d", ErrAborted, id, op.readCell)
 		}
-		if op.kind != opExit {
-			anyWork = true
-		}
+		results[id] = m.mem[op.readCell]
+		m.stats.Reads++
 	}
-	// Write phase: exclusive write.
-	writer := map[int]int{}
-	for id := 0; id < p; id++ {
-		if !e.live[id] {
+	clear(m.writer)
+	for id := range ops {
+		op := &ops[id]
+		if !active[id] || op.kind&opWrite == 0 {
 			continue
 		}
-		op := &e.slots[id]
-		if op.kind&opWrite == 0 {
-			continue
+		if op.writeCell < 0 || op.writeCell >= m.cfg.Cells {
+			return fmt.Errorf("%w: processor %d wrote invalid cell %d", ErrAborted, id, op.writeCell)
 		}
-		if op.writeCell < 0 || op.writeCell >= e.cfg.Cells {
-			e.abort(fmt.Errorf("%w: processor %d wrote invalid cell %d", ErrAborted, id, op.writeCell))
-			close(g.ch)
-			return
+		if prev, ok := m.writer[op.writeCell]; ok {
+			return fmt.Errorf("%w: exclusive-write violation on cell %d (processors %d and %d)", ErrAborted, op.writeCell, prev, id)
 		}
-		if prev, ok := writer[op.writeCell]; ok {
-			e.abort(fmt.Errorf("%w: exclusive-write violation on cell %d (processors %d and %d)", ErrAborted, op.writeCell, prev, id))
-			close(g.ch)
-			return
+		m.writer[op.writeCell] = id
+		m.mem[op.writeCell] = op.writeVal
+		if !m.touched[op.writeCell] {
+			m.touched[op.writeCell] = true
+			m.stats.CellsTouched++
 		}
-		writer[op.writeCell] = id
-		e.mem[op.writeCell] = op.writeVal
-		if !e.touched[op.writeCell] {
-			e.touched[op.writeCell] = true
-			e.stats.CellsTouched++
-		}
-		e.stats.Writes++
+		m.stats.Writes++
 	}
-	if anyWork {
-		e.stats.Steps++
-		e.steps = e.stats.Steps
-	}
-	for id := 0; id < p; id++ {
-		if e.live[id] && e.slots[id].kind == opExit {
-			e.live[id] = false
-			e.liveN--
-		}
-	}
-	if e.cfg.MaxSteps > 0 && e.stats.Steps > e.cfg.MaxSteps {
-		e.abort(fmt.Errorf("%w: step limit %d exceeded", ErrAborted, e.cfg.MaxSteps))
-		close(g.ch)
-		return
-	}
-	if e.liveN == 0 {
-		close(e.allDone)
-		close(g.ch)
-		return
-	}
-	e.mu.Lock()
-	e.arrived = 0
-	e.expected = int32(e.liveN)
-	e.gen = &generation{ch: make(chan struct{})}
-	e.mu.Unlock()
-	close(g.ch)
+	return nil
 }
 
 // Run executes one program per processor.
@@ -283,79 +170,27 @@ func Run(cfg Config, programs []func(*Proc)) (*Result, error) {
 	if len(programs) != cfg.P {
 		return nil, fmt.Errorf("crew: %d programs for %d processors", len(programs), cfg.P)
 	}
-	e := &engine{
+	m := &machine{
 		cfg:     cfg,
 		mem:     make([]Value, cfg.Cells),
 		touched: make([]bool, cfg.Cells),
-		slots:   make([]stepOp, cfg.P),
-		results: make([]Value, cfg.P),
-		live:    make([]bool, cfg.P),
-		aborted: make(chan struct{}),
-		allDone: make(chan struct{}),
+		writer:  map[int]int{},
 	}
-	for i := range e.live {
-		e.live[i] = true
+	progs := make([]func(*lockstep.Proc[stepOp, Value]), cfg.P)
+	for i, prog := range programs {
+		progs[i] = func(lp *lockstep.Proc[stepOp, Value]) { prog(&Proc{lp: lp, m: m}) }
 	}
-	e.liveN = cfg.P
-	e.expected = int32(cfg.P)
-	e.gen = &generation{ch: make(chan struct{})}
-
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.P; i++ {
-		pr := &Proc{id: i, e: e}
-		prog := programs[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				switch r := recover().(type) {
-				case nil:
-					pr.exit()
-				case crewAbort:
-				default:
-					e.abort(fmt.Errorf("%w: processor %d panicked: %v", ErrAborted, pr.id, r))
-					pr.exit()
-				}
-			}()
-			prog(pr)
-		}()
+	steps, err := lockstep.Run(lockstep.Config{
+		MaxSteps:     cfg.MaxSteps,
+		StallTimeout: cfg.StallTimeout,
+		Unit:         "step",
+		ErrAborted:   ErrAborted,
+	}, m.resolve, progs)
+	if err != nil {
+		return nil, err
 	}
-
-	stall := cfg.StallTimeout
-	if stall == 0 {
-		stall = 30 * time.Second
-	}
-	tick := time.NewTicker(stall)
-	defer tick.Stop()
-	last := int64(-1)
-	for {
-		select {
-		case <-e.allDone:
-			wg.Wait()
-			if _, err := e.isFailed(); err != nil {
-				return nil, err
-			}
-			return &Result{Stats: e.stats}, nil
-		case <-e.aborted:
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			select {
-			case <-done:
-			case <-time.After(2 * time.Second):
-			}
-			_, err := e.isFailed()
-			return nil, err
-		case <-tick.C:
-			e.mu.Lock()
-			cur := e.steps
-			e.mu.Unlock()
-			if cur == last {
-				e.abort(fmt.Errorf("%w: no step completed in %v", ErrAborted, stall))
-			} else {
-				last = cur
-			}
-		}
-	}
+	m.stats.Steps = steps
+	return &Result{Stats: m.stats}, nil
 }
 
 // RunUniform runs the same program on every processor.
@@ -365,9 +200,4 @@ func RunUniform(cfg Config, program func(*Proc)) (*Result, error) {
 		progs[i] = program
 	}
 	return Run(cfg, progs)
-}
-
-func (p *Proc) exit() {
-	defer func() { _ = recover() }()
-	p.e.step(p.id, stepOp{kind: opExit})
 }

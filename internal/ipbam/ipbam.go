@@ -17,9 +17,9 @@ package ipbam
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"mcbnet/internal/lockstep"
 	"mcbnet/internal/mcb"
 )
 
@@ -78,7 +78,6 @@ var ErrAborted = errors.New("ipbam: run aborted")
 
 type slotOp struct {
 	transmit bool
-	exit     bool
 	msg      Message
 }
 
@@ -87,169 +86,61 @@ type slotResult struct {
 	msg Message
 }
 
-type generation struct{ ch chan struct{} }
-
 // Proc is the per-processor handle. Each slot every live processor must call
 // exactly one of Transmit or Listen.
 type Proc struct {
-	id int
-	e  *engine
+	lp *lockstep.Proc[slotOp, slotResult]
+	p  int
 }
 
 // ID returns the processor index.
-func (p *Proc) ID() int { return p.id }
+func (p *Proc) ID() int { return p.lp.ID() }
 
 // P returns the number of processors.
-func (p *Proc) P() int { return p.e.cfg.P }
+func (p *Proc) P() int { return p.p }
 
 // Transmit attempts to send m this slot and returns the slot's feedback
 // (and the delivered message when feedback is Single — possibly its own).
 func (p *Proc) Transmit(m Message) (Feedback, Message) {
-	r := p.e.step(p.id, slotOp{transmit: true, msg: m})
+	r := p.lp.Step(slotOp{transmit: true, msg: m})
 	return r.fb, r.msg
 }
 
 // Listen observes the slot without transmitting.
 func (p *Proc) Listen() (Feedback, Message) {
-	r := p.e.step(p.id, slotOp{})
+	r := p.lp.Step(slotOp{})
 	return r.fb, r.msg
 }
 
 // Abortf fails the whole computation.
 func (p *Proc) Abortf(format string, args ...any) {
-	err := fmt.Errorf("%w: processor %d: %s", ErrAborted, p.id, fmt.Sprintf(format, args...))
-	p.e.abort(err)
-	panic(ipbamAbort{err})
+	p.lp.Abortf(format, args...)
 }
 
-type ipbamAbort struct{ err error }
-
-type engine struct {
-	cfg    Config
-	slots  []slotOp
-	result slotResult
-	live   []bool
-	liveN  int
-
-	mu       sync.Mutex
-	arrived  int32
-	expected int32
-	gen      *generation
-
-	stats    Stats
-	ticks    int64
-	failed   bool
-	abortErr error
-	aborted  chan struct{}
-	abortOne sync.Once
-	allDone  chan struct{}
-}
-
-func (e *engine) abort(err error) {
-	e.mu.Lock()
-	if e.abortErr == nil {
-		e.abortErr = err
-	}
-	e.failed = true
-	e.mu.Unlock()
-	e.abortOne.Do(func() { close(e.aborted) })
-}
-
-func (e *engine) isFailed() (bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.failed, e.abortErr
-}
-
-func (e *engine) step(id int, op slotOp) slotResult {
-	if failed, err := e.isFailed(); failed {
-		panic(ipbamAbort{err})
-	}
-	e.mu.Lock()
-	g := e.gen
-	e.slots[id] = op
-	e.arrived++
-	leader := e.arrived == e.expected
-	e.mu.Unlock()
-	if leader {
-		e.resolve(g)
-		if op.exit {
-			return slotResult{}
-		}
-		if failed, err := e.isFailed(); failed {
-			panic(ipbamAbort{err})
-		}
-		return e.result
-	}
-	if op.exit {
-		return slotResult{}
-	}
-	select {
-	case <-g.ch:
-	case <-e.aborted:
-		_, err := e.isFailed()
-		panic(ipbamAbort{err})
-	}
-	if failed, err := e.isFailed(); failed {
-		panic(ipbamAbort{err})
-	}
-	return e.result
-}
-
-func (e *engine) resolve(g *generation) {
-	writers := 0
-	anyWork := false
+// resolve gives every processor the slot's ternary feedback and counts the
+// slot's transmissions and collision in s.
+func (s *Stats) resolve(ops []slotOp, active []bool, results []slotResult) error {
 	var msg Message
-	for id := 0; id < e.cfg.P; id++ {
-		if !e.live[id] {
-			continue
-		}
-		op := &e.slots[id]
-		if op.exit {
-			continue
-		}
-		anyWork = true
-		if op.transmit {
+	writers := 0
+	for id, op := range ops {
+		if active[id] && op.transmit {
 			writers++
 			msg = op.msg
-			e.stats.Transmissions++
 		}
 	}
-	if anyWork {
-		switch {
-		case writers == 0:
-			e.result = slotResult{fb: Empty}
-		case writers == 1:
-			e.result = slotResult{fb: Single, msg: msg}
-		default:
-			e.result = slotResult{fb: Collision}
-			e.stats.Collisions++
-		}
-		e.stats.Slots++
-		e.ticks = e.stats.Slots
+	s.Transmissions += int64(writers)
+	r := slotResult{fb: Empty}
+	switch {
+	case writers == 1:
+		r = slotResult{fb: Single, msg: msg}
+	case writers > 1:
+		r.fb = Collision
+		s.Collisions++
 	}
-	for id := 0; id < e.cfg.P; id++ {
-		if e.live[id] && e.slots[id].exit {
-			e.live[id] = false
-			e.liveN--
-		}
+	for id := range results {
+		results[id] = r
 	}
-	if e.cfg.MaxSlots > 0 && e.stats.Slots > e.cfg.MaxSlots {
-		e.abort(fmt.Errorf("%w: slot limit %d exceeded", ErrAborted, e.cfg.MaxSlots))
-		close(g.ch)
-		return
-	}
-	if e.liveN == 0 {
-		close(e.allDone)
-		close(g.ch)
-		return
-	}
-	e.mu.Lock()
-	e.arrived = 0
-	e.expected = int32(e.liveN)
-	e.gen = &generation{ch: make(chan struct{})}
-	e.mu.Unlock()
-	close(g.ch)
+	return nil
 }
 
 // Run executes one program per processor.
@@ -260,76 +151,22 @@ func Run(cfg Config, programs []func(*Proc)) (*Result, error) {
 	if len(programs) != cfg.P {
 		return nil, fmt.Errorf("ipbam: %d programs for %d processors", len(programs), cfg.P)
 	}
-	e := &engine{
-		cfg:     cfg,
-		slots:   make([]slotOp, cfg.P),
-		live:    make([]bool, cfg.P),
-		aborted: make(chan struct{}),
-		allDone: make(chan struct{}),
+	progs := make([]func(*lockstep.Proc[slotOp, slotResult]), cfg.P)
+	for i, prog := range programs {
+		progs[i] = func(lp *lockstep.Proc[slotOp, slotResult]) { prog(&Proc{lp: lp, p: cfg.P}) }
 	}
-	for i := range e.live {
-		e.live[i] = true
+	var stats Stats
+	slots, err := lockstep.Run(lockstep.Config{
+		MaxSteps:     cfg.MaxSlots,
+		StallTimeout: cfg.StallTimeout,
+		Unit:         "slot",
+		ErrAborted:   ErrAborted,
+	}, stats.resolve, progs)
+	if err != nil {
+		return nil, err
 	}
-	e.liveN = cfg.P
-	e.expected = int32(cfg.P)
-	e.gen = &generation{ch: make(chan struct{})}
-
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.P; i++ {
-		pr := &Proc{id: i, e: e}
-		prog := programs[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				switch r := recover().(type) {
-				case nil:
-					pr.exit()
-				case ipbamAbort:
-				default:
-					e.abort(fmt.Errorf("%w: processor %d panicked: %v", ErrAborted, pr.id, r))
-					pr.exit()
-				}
-			}()
-			prog(pr)
-		}()
-	}
-
-	stall := cfg.StallTimeout
-	if stall == 0 {
-		stall = 30 * time.Second
-	}
-	tick := time.NewTicker(stall)
-	defer tick.Stop()
-	last := int64(-1)
-	for {
-		select {
-		case <-e.allDone:
-			wg.Wait()
-			if _, err := e.isFailed(); err != nil {
-				return nil, err
-			}
-			return &Result{Stats: e.stats}, nil
-		case <-e.aborted:
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			select {
-			case <-done:
-			case <-time.After(2 * time.Second):
-			}
-			_, err := e.isFailed()
-			return nil, err
-		case <-tick.C:
-			e.mu.Lock()
-			cur := e.ticks
-			e.mu.Unlock()
-			if cur == last {
-				e.abort(fmt.Errorf("%w: no slot completed in %v", ErrAborted, stall))
-			} else {
-				last = cur
-			}
-		}
-	}
+	stats.Slots = slots
+	return &Result{Stats: stats}, nil
 }
 
 // RunUniform runs the same program on every processor.
@@ -339,9 +176,4 @@ func RunUniform(cfg Config, program func(*Proc)) (*Result, error) {
 		progs[i] = program
 	}
 	return Run(cfg, progs)
-}
-
-func (p *Proc) exit() {
-	defer func() { _ = recover() }()
-	p.e.step(p.id, slotOp{exit: true})
 }

@@ -14,9 +14,9 @@ package shoutecho
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"mcbnet/internal/lockstep"
 	"mcbnet/internal/mcb"
 )
 
@@ -38,7 +38,8 @@ type Config struct {
 type Stats struct {
 	// Rounds is the number of shout-echo activities.
 	Rounds int64
-	// Messages counts one shout plus p-1 echoes per round.
+	// Messages counts one shout plus one echo from every other processor
+	// still in the protocol, per round.
 	Messages int64
 }
 
@@ -50,18 +51,10 @@ type Result struct {
 // ErrAborted is wrapped by all abort errors.
 var ErrAborted = errors.New("shoutecho: run aborted")
 
-type opKind uint8
-
-const (
-	opShout opKind = iota
-	opEcho
-	opExit
-)
-
 type roundOp struct {
-	kind  opKind
-	shout Message
-	reply func(Message) Message
+	shout bool
+	msg   Message               // the shout, for the shouter
+	reply func(Message) Message // for echoers
 }
 
 type roundResult struct {
@@ -73,182 +66,78 @@ type roundResult struct {
 // call exactly one of Shout or Echo; returning from the program leaves the
 // protocol.
 type Proc struct {
-	id int
-	e  *engine
+	lp *lockstep.Proc[roundOp, roundResult]
+	p  int
 }
 
 // ID returns the processor index in [0, P).
-func (p *Proc) ID() int { return p.id }
+func (p *Proc) ID() int { return p.lp.ID() }
 
 // P returns the number of processors.
-func (p *Proc) P() int { return p.e.cfg.P }
+func (p *Proc) P() int { return p.p }
 
 // Shout broadcasts m and returns the echoes, indexed by processor id (the
 // shouter's own slot is the zero Message).
 func (p *Proc) Shout(m Message) []Message {
-	r := p.e.step(p.id, roundOp{kind: opShout, shout: m})
-	return r.echoes
+	return p.lp.Step(roundOp{shout: true, msg: m}).echoes
 }
 
 // Echo participates in the round as a replier: reply is called with the
 // shout and must return this processor's echo. Echo returns the shout heard.
 func (p *Proc) Echo(reply func(shout Message) Message) Message {
-	r := p.e.step(p.id, roundOp{kind: opEcho, reply: reply})
-	return r.shout
+	return p.lp.Step(roundOp{reply: reply}).shout
 }
 
 // Abortf fails the whole computation.
 func (p *Proc) Abortf(format string, args ...any) {
-	err := fmt.Errorf("%w: processor %d: %s", ErrAborted, p.id, fmt.Sprintf(format, args...))
-	p.e.abort(err)
-	panic(seAbort{err})
+	p.lp.Abortf(format, args...)
 }
 
-type seAbort struct{ err error }
-
-type generation struct{ ch chan struct{} }
-
-type engine struct {
-	cfg     Config
-	slots   []roundOp
-	results []roundResult
-	live    []bool
-	liveN   int
-
-	arrived  int32
-	expected int32
-	mu       sync.Mutex // guards arrived (simplicity over throughput)
-	gen      *generation
-
-	stats    Stats
-	rounds   int64
-	failed   bool
-	abortErr error
-	aborted  chan struct{}
-	abortOne sync.Once
-	allDone  chan struct{}
-}
-
-func (e *engine) abort(err error) {
-	e.mu.Lock()
-	if e.abortErr == nil {
-		e.abortErr = err
-	}
-	e.failed = true
-	e.mu.Unlock()
-	e.abortOne.Do(func() { close(e.aborted) })
-}
-
-func (e *engine) isFailed() (bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.failed, e.abortErr
-}
-
-func (e *engine) step(id int, op roundOp) roundResult {
-	if failed, err := e.isFailed(); failed {
-		panic(seAbort{err})
-	}
-	e.mu.Lock()
-	g := e.gen
-	e.slots[id] = op
-	e.arrived++
-	leader := e.arrived == e.expected
-	e.mu.Unlock()
-	if leader {
-		e.resolve(g)
-		if op.kind == opExit {
-			return roundResult{}
-		}
-		if failed, err := e.isFailed(); failed {
-			panic(seAbort{err})
-		}
-		return e.results[id]
-	}
-	if op.kind == opExit {
-		return roundResult{}
-	}
-	select {
-	case <-g.ch:
-	case <-e.aborted:
-		_, err := e.isFailed()
-		panic(seAbort{err})
-	}
-	if failed, err := e.isFailed(); failed {
-		panic(seAbort{err})
-	}
-	return e.results[id]
-}
-
-func (e *engine) resolve(g *generation) {
-	p := e.cfg.P
+// resolve runs one round: the single shouter hears an echo from every other
+// active processor, and each of those hears the shout.
+func (s *Stats) resolve(ops []roundOp, active []bool, results []roundResult) error {
 	shouter := -1
-	anyWork := false
-	for id := 0; id < p; id++ {
-		if !e.live[id] {
+	for id, op := range ops {
+		if !active[id] || !op.shout {
 			continue
 		}
-		switch e.slots[id].kind {
-		case opShout:
-			if shouter >= 0 {
-				e.abort(fmt.Errorf("%w: processors %d and %d shout in the same round", ErrAborted, shouter, id))
-				close(g.ch)
-				return
-			}
-			shouter = id
-			anyWork = true
-		case opEcho:
-			anyWork = true
+		if shouter >= 0 {
+			return fmt.Errorf("%w: processors %d and %d shout in the same round", ErrAborted, shouter, id)
 		}
+		shouter = id
 	}
-	if anyWork {
-		if shouter < 0 {
-			e.abort(fmt.Errorf("%w: round with echoes but no shouter", ErrAborted))
-			close(g.ch)
-			return
+	if shouter < 0 {
+		return fmt.Errorf("%w: round with echoes but no shouter", ErrAborted)
+	}
+	shout := ops[shouter].msg
+	echoes := make([]Message, len(ops))
+	for id, op := range ops {
+		if !active[id] || id == shouter {
+			continue
 		}
-		shout := e.slots[shouter].shout
-		echoes := make([]Message, p)
-		for id := 0; id < p; id++ {
-			if !e.live[id] || id == shouter {
-				continue
-			}
-			if e.slots[id].kind == opEcho {
-				echoes[id] = e.slots[id].reply(shout)
-			}
+		var err error
+		if echoes[id], err = echo(id, op.reply, shout); err != nil {
+			return err
 		}
-		e.results[shouter] = roundResult{echoes: echoes}
-		for id := 0; id < p; id++ {
-			if e.live[id] && id != shouter && e.slots[id].kind == opEcho {
-				e.results[id] = roundResult{shout: shout}
-			}
+		results[id] = roundResult{shout: shout}
+		s.Messages++
+	}
+	results[shouter] = roundResult{echoes: echoes}
+	s.Messages++
+	return nil
+}
+
+// echo calls processor id's reply. It runs on the goroutine of whichever
+// processor resolves the round, so a panic is attributed here to id. A
+// reply that called Abortf has already failed the run, and that first
+// error is the one the run reports.
+func echo(id int, reply func(Message) Message, shout Message) (m Message, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: processor %d panicked in its echo: %v", ErrAborted, id, r)
 		}
-		e.stats.Rounds++
-		e.stats.Messages += int64(e.liveN) // 1 shout + liveN-1 echoes
-		e.rounds = e.stats.Rounds
-	}
-	for id := 0; id < p; id++ {
-		if e.live[id] && e.slots[id].kind == opExit {
-			e.live[id] = false
-			e.liveN--
-		}
-	}
-	if e.cfg.MaxRounds > 0 && e.stats.Rounds > e.cfg.MaxRounds {
-		e.abort(fmt.Errorf("%w: round limit %d exceeded", ErrAborted, e.cfg.MaxRounds))
-		close(g.ch)
-		return
-	}
-	if e.liveN == 0 {
-		close(e.allDone)
-		close(g.ch)
-		return
-	}
-	e.mu.Lock()
-	e.arrived = 0
-	e.expected = int32(e.liveN)
-	e.gen = &generation{ch: make(chan struct{})}
-	e.mu.Unlock()
-	close(g.ch)
+	}()
+	return reply(shout), nil
 }
 
 // Run executes one program per processor.
@@ -259,78 +148,22 @@ func Run(cfg Config, programs []func(*Proc)) (*Result, error) {
 	if len(programs) != cfg.P {
 		return nil, fmt.Errorf("shoutecho: %d programs for %d processors", len(programs), cfg.P)
 	}
-	e := &engine{
-		cfg:     cfg,
-		slots:   make([]roundOp, cfg.P),
-		results: make([]roundResult, cfg.P),
-		live:    make([]bool, cfg.P),
-		aborted: make(chan struct{}),
-		allDone: make(chan struct{}),
+	progs := make([]func(*lockstep.Proc[roundOp, roundResult]), cfg.P)
+	for i, prog := range programs {
+		progs[i] = func(lp *lockstep.Proc[roundOp, roundResult]) { prog(&Proc{lp: lp, p: cfg.P}) }
 	}
-	for i := range e.live {
-		e.live[i] = true
+	var stats Stats
+	rounds, err := lockstep.Run(lockstep.Config{
+		MaxSteps:     cfg.MaxRounds,
+		StallTimeout: cfg.StallTimeout,
+		Unit:         "round",
+		ErrAborted:   ErrAborted,
+	}, stats.resolve, progs)
+	if err != nil {
+		return nil, err
 	}
-	e.liveN = cfg.P
-	e.expected = int32(cfg.P)
-	e.gen = &generation{ch: make(chan struct{})}
-
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.P; i++ {
-		pr := &Proc{id: i, e: e}
-		prog := programs[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				switch r := recover().(type) {
-				case nil:
-					pr.exit()
-				case seAbort:
-					// engine already failed
-				default:
-					e.abort(fmt.Errorf("%w: processor %d panicked: %v", ErrAborted, pr.id, r))
-					pr.exit()
-				}
-			}()
-			prog(pr)
-		}()
-	}
-
-	stall := cfg.StallTimeout
-	if stall == 0 {
-		stall = 30 * time.Second
-	}
-	tick := time.NewTicker(stall)
-	defer tick.Stop()
-	last := int64(-1)
-	for {
-		select {
-		case <-e.allDone:
-			wg.Wait()
-			if _, err := e.isFailed(); err != nil {
-				return nil, err
-			}
-			return &Result{Stats: e.stats}, nil
-		case <-e.aborted:
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			select {
-			case <-done:
-			case <-time.After(2 * time.Second):
-			}
-			_, err := e.isFailed()
-			return nil, err
-		case <-tick.C:
-			e.mu.Lock()
-			cur := e.rounds
-			e.mu.Unlock()
-			if cur == last {
-				e.abort(fmt.Errorf("%w: no round completed in %v", ErrAborted, stall))
-			} else {
-				last = cur
-			}
-		}
-	}
+	stats.Rounds = rounds
+	return &Result{Stats: stats}, nil
 }
 
 // RunUniform runs the same program on every processor.
@@ -340,9 +173,4 @@ func RunUniform(cfg Config, program func(*Proc)) (*Result, error) {
 		progs[i] = program
 	}
 	return Run(cfg, progs)
-}
-
-func (p *Proc) exit() {
-	defer func() { _ = recover() }()
-	p.e.step(p.id, roundOp{kind: opExit})
 }

@@ -237,3 +237,53 @@ func TestSelectMessagesPerRound(t *testing.T) {
 		t.Errorf("messages = %d, want rounds*p = %d", rep.Stats.Messages, rep.Stats.Rounds*4)
 	}
 }
+
+// TestMessagesSkipLeavingProcessors: a processor whose program returns in a
+// round sends no echo in it, so the round costs one shout plus one echo.
+func TestMessagesSkipLeavingProcessors(t *testing.T) {
+	res, err := Run(cfg(3), []func(*Proc){
+		func(pr *Proc) { pr.Shout(mcb.MsgX(1, 7)) },
+		func(pr *Proc) { pr.Echo(func(Message) Message { return mcb.MsgX(2, 0) }) },
+		func(pr *Proc) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Rounds != 1 || res.Stats.Messages != 2 {
+		t.Errorf("stats = %+v, want 1 round and 2 messages (1 shout + 1 echo)", res.Stats)
+	}
+}
+
+// TestEchoFailureBlamesEchoer: replies run on whichever processor resolves
+// the round, yet a panic or an Abortf in processor 2's reply must name
+// processor 2 every time.
+func TestEchoFailureBlamesEchoer(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		reply func(pr *Proc) Message
+		want  string
+	}{
+		{"panic", func(pr *Proc) Message { panic("bad echo") },
+			"shoutecho: run aborted: processor 2 panicked in its echo: bad echo"},
+		{"abortf", func(pr *Proc) Message { pr.Abortf("bad echo"); return Message{} },
+			"shoutecho: run aborted: processor 2: bad echo"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for i := 0; i < 20; i++ {
+				_, err := RunUniform(cfg(3), func(pr *Proc) {
+					switch pr.ID() {
+					case 0:
+						pr.Shout(mcb.MsgX(1, 0))
+					case 1:
+						pr.Echo(func(Message) Message { return Message{} })
+					case 2:
+						pr.Echo(func(Message) Message { return c.reply(pr) })
+					}
+				})
+				if !errors.Is(err, ErrAborted) || err.Error() != c.want {
+					t.Fatalf("iteration %d: err = %v, want %q", i, err, c.want)
+				}
+			}
+		})
+	}
+}
