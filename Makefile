@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify bench-module bench lint bench-gate bench-baseline profile-engine trace-sample fuzz transport-chaos service-smoke load-bench service-baseline
+.PHONY: build test vet race verify bench-module bench bench-ab lint bench-baseline profile-engine trace-sample fuzz transport-chaos service-smoke
 
 build:
 	$(GO) build ./...
@@ -46,20 +46,18 @@ lint: vet
 		echo "lint: govulncheck not installed, skipping (CI runs it)"; \
 	fi
 
-# The CI benchmark regression gate, runnable locally: fresh engine sweep vs
-# the committed artifact, each (workload, p, k) against its baseline entry,
-# ±20%. Refuses a baseline recorded on a
-# different machine (go version / GOMAXPROCS / CPU count are part of the
-# artifact); regenerate with `make bench-baseline` or, to merely smoke the
-# sweep, add -allow-env-mismatch as CI's hosted runners do.
-bench-gate:
-	$(GO) run ./cmd/mcbbench -engine -compare BENCH_engine.json -threshold 0.20 \
-		-out BENCH_engine.fresh.json
+# The repository's one performance regression judge, as the CI bench-ab job
+# runs it: the benchmark (benchmark/run.sh) on BASE and on this checkout,
+# alternating on this machine, judged by its own -compare; exit 2 on any
+# `worse beyond bound` row. BASE defaults to the merge base with origin/main.
+# One A/B takes 13-27 minutes on 2 CPUs (scripts/bench-ab.sh).
+bench-ab:
+	bash scripts/bench-ab.sh $(BASE)
 
-# Regenerate the committed benchmark artifact on this machine, carrying the
-# previous entries over as the embedded before/after baseline.
+# Regenerate the engine microbenchmark snapshot (BENCH_engine.json) on this
+# machine: a diagnostic record of the engine sweep, not a gate.
 bench-baseline:
-	$(GO) run ./cmd/mcbbench -engine -baseline BENCH_engine.json -out BENCH_engine.json
+	$(GO) run ./cmd/mcbbench -engine -out BENCH_engine.json
 
 # CPU-profile the engine's hot loops: the barrier, dense and sparse workloads
 # at p=16384 under pprof, then the top of the profile. CI archives the .pprof
@@ -101,33 +99,6 @@ service-smoke:
 	kill -TERM $$MCBD_PID; wait $$MCBD_PID; DRAIN=$$?; \
 	cat mcbd.log; rm -f mcbd.bin mcbload.bin; \
 	[ $$RC -eq 0 ] && [ $$DRAIN -eq 0 ]
-
-# The CI service benchmark gate, runnable locally: the service-bench profile
-# (batch-win pair + sustained mixed load) against a fresh daemon, gated on
-# the committed BENCH_service.json baseline and the >= 2x batching win.
-# Like bench-gate, a baseline recorded on a different machine is refused —
-# regenerate with `make service-baseline`.
-load-bench:
-	$(GO) build -o mcbd.bin ./cmd/mcbd
-	$(GO) build -o mcbload.bin ./cmd/mcbload
-	./mcbd.bin -addr 127.0.0.1:8326 > mcbd.log 2>&1 & \
-	MCBD_PID=$$!; \
-	./mcbload.bin -addr http://127.0.0.1:8326 -profile service-bench \
-		-out BENCH_service.fresh.json -compare BENCH_service.json \
-		-threshold 0.35 -min-batch-win 2.0 -v; RC=$$?; \
-	kill -TERM $$MCBD_PID; wait $$MCBD_PID; \
-	rm -f mcbd.bin mcbload.bin; exit $$RC
-
-# Regenerate the committed service benchmark baseline on this machine.
-service-baseline:
-	$(GO) build -o mcbd.bin ./cmd/mcbd
-	$(GO) build -o mcbload.bin ./cmd/mcbload
-	./mcbd.bin -addr 127.0.0.1:8326 > mcbd.log 2>&1 & \
-	MCBD_PID=$$!; \
-	./mcbload.bin -addr http://127.0.0.1:8326 -profile service-bench \
-		-out BENCH_service.json -min-batch-win 2.0; RC=$$?; \
-	kill -TERM $$MCBD_PID; wait $$MCBD_PID; \
-	rm -f mcbd.bin mcbload.bin; exit $$RC
 
 # The acceptance-shape cycle trace (p=16, k=4 sort), Perfetto-loadable.
 trace-sample:

@@ -9,24 +9,14 @@
 //	mcbbench -list      # list experiments and their claims
 //	mcbbench -json      # emit results as JSON instead of text tables
 //
-// Engine microbenchmark mode (perf trajectory, see BENCH_engine.json):
+// Engine microbenchmark mode (a diagnostic sweep, see BENCH_engine.json):
 //
 //	mcbbench -engine                                  # print the sweep as JSON
-//	mcbbench -engine -out BENCH_engine.json           # write the artifact
-//	mcbbench -engine -baseline BENCH_engine.json \
-//	         -out BENCH_engine.json                   # keep previous numbers as baseline
+//	mcbbench -engine -out BENCH_engine.json           # write the snapshot
+//	mcbbench -engine -engine-sizes 16384 -cpuprofile engine_cpu.pprof -out /dev/null
 //
-// CI regression gate: compare a fresh sweep against the committed artifact
-// and fail (exit 2) when throughput or allocations regressed beyond the
-// threshold, each (workload, p, k) configuration gated against its baseline
-// entry. A baseline generated in a different environment (go version,
-// GOMAXPROCS, CPU count) is refused with the mismatched fields named; pass
-// -allow-env-mismatch to skip the comparison (with the reason printed)
-// instead of failing:
-//
-//	mcbbench -engine -compare BENCH_engine.json -threshold 0.20 \
-//	         -out BENCH_engine.fresh.json
-//	mcbbench -engine -compare BENCH_engine.json -allow-env-mismatch  # CI runners
+// Performance regressions are judged by `make bench-ab`, a same-runner A/B
+// of the benchmark in benchmark/, not by this sweep.
 package main
 
 import (
@@ -59,88 +49,27 @@ type jsonExperiment struct {
 }
 
 // engineBenchFile is the on-disk schema of BENCH_engine.json: the engine
-// microbenchmark sweep of this build (Entries) plus, optionally, the numbers
-// of the previous build (Baseline) so the perf trajectory stays reviewable.
-// The embedded mcb.BenchEnv fields (go/gomaxprocs/num_cpu) record the
-// provenance a later -compare is checked against.
+// microbenchmark sweep of this build, with the provenance (go version,
+// GOMAXPROCS, CPU count) of the machine that measured it.
 type engineBenchFile struct {
 	Schema string `json:"schema"`
 	mcb.BenchEnv
 	GeneratedAt string                 `json:"generated_at"`
 	Entries     []mcb.EngineBenchEntry `json:"entries"`
-	Baseline    []mcb.EngineBenchEntry `json:"baseline,omitempty"`
-}
-
-// errRegression marks a failed -compare gate (exit code 2, distinguishing a
-// perf regression from an operational error).
-var errRegression = fmt.Errorf("engine benchmark regression")
-
-// loadEngineBench reads a previous BENCH_engine.json: its entries and its
-// recorded provenance.
-func loadEngineBench(path string) ([]mcb.EngineBenchEntry, mcb.BenchEnv, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, mcb.BenchEnv{}, fmt.Errorf("read baseline: %w", err)
-	}
-	var prev engineBenchFile
-	if err := json.Unmarshal(b, &prev); err != nil {
-		return nil, mcb.BenchEnv{}, fmt.Errorf("parse baseline: %w", err)
-	}
-	return prev.Entries, prev.BenchEnv, nil
 }
 
 // runEngineBench executes the engine microbenchmark sweep over sizes (nil =
-// the default grid) and writes the JSON artifact to outPath ("" = stdout).
-// baselinePath, when set, names a previous artifact whose entries are carried
-// over as the baseline. comparePath, when set, names the artifact the fresh
-// sweep is regression-checked against with the given relative threshold;
-// regressions are reported on stderr and returned as errRegression.
-//
-// A comparison is only meaningful between sweeps of the same environment:
-// if the baseline's recorded go version, GOMAXPROCS or CPU count differ from
-// the runner's, the gate refuses (naming the mismatched fields) — or, with
-// allowEnvMismatch, explicitly skips the comparison with the same named
-// reasons and passes.
-func runEngineBench(outPath, baselinePath, comparePath string, threshold float64, cycles int64, allowEnvMismatch bool, sizes []int) error {
-	var baseline []mcb.EngineBenchEntry
-	if baselinePath != "" {
-		var err error
-		if baseline, _, err = loadEngineBench(baselinePath); err != nil {
-			return err
-		}
-	}
+// the default grid) and writes the JSON snapshot to outPath ("" = stdout).
+func runEngineBench(outPath string, cycles int64, sizes []int) error {
 	entries, err := mcb.EngineBenchSweep(sizes, cycles)
 	if err != nil {
 		return err
-	}
-	compareSkipped := false
-	var regressions []string
-	if comparePath != "" {
-		gate, gateEnv, err := loadEngineBench(comparePath)
-		if err != nil {
-			return err
-		}
-		if mismatches := mcb.CurrentBenchEnv().Mismatch(gateEnv); len(mismatches) > 0 {
-			for _, m := range mismatches {
-				fmt.Fprintln(os.Stderr, "mcbbench: baseline environment mismatch:", m)
-			}
-			if !allowEnvMismatch {
-				return fmt.Errorf("baseline %s was generated in a different environment (%d field(s) differ, listed above); "+
-					"regenerate it on this runner or pass -allow-env-mismatch to skip the comparison",
-					comparePath, len(mismatches))
-			}
-			fmt.Fprintf(os.Stderr, "mcbbench: SKIPPING regression gate against %s: environment mismatch allowed by -allow-env-mismatch\n", comparePath)
-			compareSkipped = true
-		} else {
-			regressions = mcb.CompareEngineBench(entries, gate, threshold)
-		}
 	}
 	out := engineBenchFile{
 		Schema:      "mcbnet/engine-bench/v1",
 		BenchEnv:    mcb.CurrentBenchEnv(),
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Entries:     entries,
-		Baseline:    baseline,
 	}
 	b, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {
@@ -148,23 +77,10 @@ func runEngineBench(outPath, baselinePath, comparePath string, threshold float64
 	}
 	b = append(b, '\n')
 	if outPath == "" {
-		if _, err := os.Stdout.Write(b); err != nil {
-			return err
-		}
-	} else if err := os.WriteFile(outPath, b, 0o644); err != nil {
+		_, err = os.Stdout.Write(b)
 		return err
 	}
-	if comparePath != "" && !compareSkipped {
-		if len(regressions) > 0 {
-			for _, r := range regressions {
-				fmt.Fprintln(os.Stderr, "mcbbench: REGRESSION:", r)
-			}
-			return errRegression
-		}
-		fmt.Fprintf(os.Stderr, "mcbbench: regression gate passed (%d configurations within ±%.0f%% of %s)\n",
-			len(entries), 100*threshold, comparePath)
-	}
-	return nil
+	return os.WriteFile(outPath, b, 0o644)
 }
 
 func main() {
@@ -173,13 +89,8 @@ func main() {
 	list := flag.Bool("list", false, "list experiments")
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of text tables")
 	engine := flag.Bool("engine", false, "run the engine microbenchmark sweep instead of the experiments")
-	out := flag.String("out", "", "with -engine: write the JSON artifact to this file (default stdout)")
-	baseline := flag.String("baseline", "", "with -engine: carry the entries of this previous artifact over as baseline")
+	out := flag.String("out", "", "with -engine: write the JSON snapshot to this file (default stdout)")
 	engineCycles := flag.Int64("engine-cycles", 0, "with -engine: cycles per configuration (0 = per-size default)")
-	compare := flag.String("compare", "", "with -engine: regression-gate the sweep against this artifact (exit 2 on regression)")
-	threshold := flag.Float64("threshold", 0.20, "with -engine -compare: relative regression threshold")
-	allowEnvMismatch := flag.Bool("allow-env-mismatch", false,
-		"with -engine -compare: on go/gomaxprocs/num_cpu provenance mismatch, warn and skip the comparison instead of failing")
 	engineSizes := flag.String("engine-sizes", "", "with -engine: comma-separated processor counts (empty = default grid)")
 	cpuProfile := flag.String("cpuprofile", "", "with -engine: write a pprof CPU profile of the sweep to this file")
 	flag.Parse()
@@ -205,12 +116,9 @@ func main() {
 				f.Close()
 			}()
 		}
-		if err := runEngineBench(*out, *baseline, *compare, *threshold, *engineCycles, *allowEnvMismatch, sizes); err != nil {
+		if err := runEngineBench(*out, *engineCycles, sizes); err != nil {
 			if *cpuProfile != "" {
 				pprof.StopCPUProfile()
-			}
-			if err == errRegression {
-				os.Exit(2)
 			}
 			fmt.Fprintln(os.Stderr, "mcbbench:", err)
 			os.Exit(1)

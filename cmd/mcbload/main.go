@@ -1,26 +1,21 @@
-// Command mcbload is the load generator and benchmark gate for mcbd: it
-// drives a declarative workload profile (request mix, arrival process,
-// concurrency, phased ramp) against a live daemon, verifies EVERY successful
-// response against a sequential oracle, and writes a BENCH_service.json
-// artifact with requests/sec and latency percentiles per (phase, op, mode).
+// Command mcbload is the oracle-checking load driver for mcbd: it drives a
+// declarative workload profile (request mix, arrival process, concurrency,
+// phased ramp) against a live daemon, verifies EVERY successful response
+// against a sequential oracle, and prints verified requests/sec per
+// (phase, op, mode) and the batch win. Latency and regression judgement
+// belong to the benchmark (benchmark/, `make bench-ab`).
 //
 // Usage:
 //
 //	mcbload -addr http://127.0.0.1:8326 -profile smoke-mixed [-v]
-//	mcbload -addr ... -profile service-bench -out BENCH_service.fresh.json \
-//	        -compare BENCH_service.json -threshold 0.35 [-allow-env-mismatch] \
-//	        -min-batch-win 2.0
+//	mcbload -addr ... -profile service-bench -min-batch-win 2.0 -v
 //	mcbload -addr ... -profile-file custom.json -duration-scale 0.25
 //	mcbload -list
 //
-// Exit codes: 0 = run verified (and gate passed); 1 = verification
-// violations (an incorrect answer, unexpected errors, or a missing expected
-// rejection); 2 = benchmark gate failure or usage error.
-//
-// The -compare gate refuses a baseline generated in a different environment
-// (go version, GOMAXPROCS, CPU count) unless -allow-env-mismatch is passed,
-// in which case only the verification assertions and -min-batch-win gate
-// (both environment-independent) apply.
+// Exit codes: 0 = run verified (and the batch-win floor held); 1 =
+// verification violations (an incorrect answer, unexpected errors, or a
+// missing expected rejection); 2 = batch win below -min-batch-win or usage
+// error.
 package main
 
 import (
@@ -40,10 +35,6 @@ func main() {
 	list := flag.Bool("list", false, "list builtin profiles and exit")
 	durationScale := flag.Float64("duration-scale", 1, "multiply every phase duration (CI smoke shrinks profiles)")
 	waitReady := flag.Duration("wait-ready", 10*time.Second, "poll /v1/healthz this long before starting")
-	out := flag.String("out", "", "write the BENCH_service.json artifact here")
-	compare := flag.String("compare", "", "regression-gate the run against this baseline artifact (exit 2 on regression)")
-	threshold := flag.Float64("threshold", 0.35, "with -compare: allowed requests/sec drift (fraction)")
-	allowEnvMismatch := flag.Bool("allow-env-mismatch", false, "with -compare: tolerate a baseline from a different environment (skips the rps gate)")
 	minBatchWin := flag.Float64("min-batch-win", 0, "fail (exit 2) unless batched/unbatched rps ratio reaches this")
 	verbose := flag.Bool("v", false, "print per-phase progress")
 	flag.Parse()
@@ -84,15 +75,8 @@ func main() {
 		fmt.Printf("mcbload: batch win %.2fx (unbatched %.1f rps -> batched %.1f rps)\n",
 			report.BatchWin.Ratio, report.BatchWin.UnbatchedRPS, report.BatchWin.BatchedRPS)
 	}
-	if *out != "" {
-		if err := report.WriteFile(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "mcbload:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("mcbload: wrote %s (%d entries)\n", *out, len(report.Entries))
-	}
 
-	gateFailures := gate(report, *compare, *threshold, *allowEnvMismatch, *minBatchWin)
+	gateFailures := gate(report, *minBatchWin)
 
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, "mcbload: VIOLATION:", v)
@@ -109,37 +93,18 @@ func main() {
 	fmt.Printf("mcbload: profile %s verified: every response matched the oracle\n", profile.Name)
 }
 
-// gate applies the -compare baseline and -min-batch-win assertions and
-// returns one line per failure.
-func gate(report *service.BenchReport, comparePath string, threshold float64, allowEnvMismatch bool, minBatchWin float64) []string {
-	var failures []string
-	if minBatchWin > 0 {
-		switch {
-		case report.BatchWin == nil:
-			failures = append(failures, fmt.Sprintf("-min-batch-win %.2f set but the profile produced no batched/unbatched topk pair", minBatchWin))
-		case report.BatchWin.Ratio < minBatchWin:
-			failures = append(failures, fmt.Sprintf("batch win %.2fx below required %.2fx", report.BatchWin.Ratio, minBatchWin))
-		}
+// gate applies the -min-batch-win assertion and returns one line per
+// failure.
+func gate(report *service.BenchReport, minBatchWin float64) []string {
+	switch {
+	case minBatchWin <= 0:
+		return nil
+	case report.BatchWin == nil:
+		return []string{fmt.Sprintf("-min-batch-win %.2f set but the profile produced no batched/unbatched topk pair", minBatchWin)}
+	case report.BatchWin.Ratio < minBatchWin:
+		return []string{fmt.Sprintf("batch win %.2fx below required %.2fx", report.BatchWin.Ratio, minBatchWin)}
 	}
-	if comparePath == "" {
-		return failures
-	}
-	baseline, err := service.LoadBenchReport(comparePath)
-	if err != nil {
-		return append(failures, err.Error())
-	}
-	if mismatches := report.Env.Mismatch(baseline.Env); len(mismatches) > 0 {
-		for _, m := range mismatches {
-			fmt.Fprintln(os.Stderr, "mcbload: env mismatch:", m)
-		}
-		if !allowEnvMismatch {
-			return append(failures, fmt.Sprintf("baseline %s was generated in a different environment (%d field(s) differ, listed above); "+
-				"regenerate it on this runner or pass -allow-env-mismatch to skip the comparison", comparePath, len(mismatches)))
-		}
-		fmt.Fprintf(os.Stderr, "mcbload: SKIPPING rps gate against %s: environment mismatch allowed by -allow-env-mismatch\n", comparePath)
-		return failures
-	}
-	return append(failures, service.CompareServiceBench(report, baseline, threshold)...)
+	return nil
 }
 
 func loadProfile(name, file string) (service.Profile, error) {

@@ -230,12 +230,7 @@ func main() {
 func emitSort(pf *tcp.PeerFile, spec *tcp.PeerSpec, n int, seed uint64, outputs [][]int64, rep *core.Report, wall time.Duration, jsonOut, verbose bool) {
 	if jsonOut {
 		jr := mcb.NewReport(mcb.Config{P: pf.P, K: pf.K}, &rep.Stats)
-		jr.Attempts = rep.Attempts
-		jr.Resumes = rep.Resumes
-		jr.CheckpointPhase = rep.CheckpointPhase
-		jr.ReplayedCycles = rep.ReplayedCycles
-		jr.DegradedK = rep.DegradedK
-		jr.DeadChannels = rep.DeadChannels
+		jr.Recovery = rep.Recovery
 		jr.Extra = map[string]any{
 			"op":        "sort",
 			"n":         n,
@@ -274,12 +269,7 @@ func emitSort(pf *tcp.PeerFile, spec *tcp.PeerSpec, n int, seed uint64, outputs 
 func emitSelect(pf *tcp.PeerFile, n int, seed uint64, rank int, val int64, rep *core.SelectReport, wall time.Duration, jsonOut bool) {
 	if jsonOut {
 		jr := mcb.NewReport(mcb.Config{P: pf.P, K: pf.K}, &rep.Stats)
-		jr.Attempts = rep.Attempts
-		jr.Resumes = rep.Resumes
-		jr.CheckpointPhase = rep.CheckpointPhase
-		jr.ReplayedCycles = rep.ReplayedCycles
-		jr.DegradedK = rep.DegradedK
-		jr.DeadChannels = rep.DeadChannels
+		jr.Recovery = rep.Recovery
 		jr.Extra = map[string]any{
 			"op":      "select",
 			"n":       n,

@@ -30,8 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"mcbnet/internal/adversary"
@@ -74,7 +72,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown algorithm %q", *algoName))
 	}
-	card, err := makeCard(*distName, *n, *p, *heavy, *seed)
+	card, err := dist.ByName(*distName, *n, *p, *heavy, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -92,7 +90,7 @@ func main() {
 			Checksum:    *faultRate > 0,
 		}
 		if *outageSpec != "" {
-			o, oerr := parseOutage(*outageSpec, *k)
+			o, oerr := mcb.ParseOutage(*outageSpec, *k)
 			if oerr != nil {
 				fatal(oerr)
 			}
@@ -127,12 +125,7 @@ func main() {
 
 	if *jsonOut {
 		jr := mcb.NewReport(mcb.Config{P: *p, K: *k}, &rep.Stats)
-		jr.Attempts = rep.Attempts
-		jr.Resumes = rep.Resumes
-		jr.CheckpointPhase = rep.CheckpointPhase
-		jr.ReplayedCycles = rep.ReplayedCycles
-		jr.DegradedK = rep.DegradedK
-		jr.DeadChannels = rep.DeadChannels
+		jr.Recovery = rep.Recovery
 		jr.Extra = map[string]any{
 			"op":              "select",
 			"n":               *n,
@@ -189,53 +182,6 @@ func main() {
 			fmt.Printf("  phase %-3d candidates %-8d purged %.3f\n", i+1, rep.Candidates[i], f)
 		}
 	}
-}
-
-func makeCard(name string, n, p int, heavy float64, seed uint64) (dist.Cardinalities, error) {
-	if n < p {
-		return nil, fmt.Errorf("need n >= p")
-	}
-	switch name {
-	case "even":
-		return dist.NearlyEven(n, p), nil
-	case "random":
-		return dist.RandomComposition(dist.NewRNG(seed^0xabcd), n, p), nil
-	case "oneheavy":
-		return dist.OneHeavy(n, p, heavy), nil
-	case "geometric":
-		return dist.Geometric(n, p), nil
-	}
-	return nil, fmt.Errorf("unknown distribution %q", name)
-}
-
-// parseOutage parses "ch:from[:to]" into a scripted outage window; an
-// omitted to means the channel never heals.
-func parseOutage(s string, k int) (mcb.Outage, error) {
-	var o mcb.Outage
-	o.To = 1 << 50
-	parts := strings.Split(s, ":")
-	if len(parts) != 2 && len(parts) != 3 {
-		return o, fmt.Errorf("bad -outage %q: want ch:from[:to]", s)
-	}
-	vals := make([]int64, len(parts))
-	for i, part := range parts {
-		v, err := strconv.ParseInt(part, 10, 64)
-		if err != nil || v < 0 {
-			return o, fmt.Errorf("bad -outage %q: %q is not a non-negative integer", s, part)
-		}
-		vals[i] = v
-	}
-	o.Ch, o.From = int(vals[0]), vals[1]
-	if len(vals) == 3 {
-		o.To = vals[2]
-	}
-	if o.Ch >= k {
-		return o, fmt.Errorf("bad -outage %q: channel %d out of range [0, %d)", s, o.Ch, k)
-	}
-	if o.To <= o.From {
-		return o, fmt.Errorf("bad -outage %q: empty window", s)
-	}
-	return o, nil
 }
 
 func fatal(err error) {

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"mcbnet/internal/checkpoint"
@@ -76,7 +75,7 @@ func main() {
 			Checksum:    *faultRate > 0,
 		}
 		if *outageSpec != "" {
-			o, oerr := parseOutage(*outageSpec, *k)
+			o, oerr := mcb.ParseOutage(*outageSpec, *k)
 			if oerr != nil {
 				fatal(oerr)
 			}
@@ -87,7 +86,7 @@ func main() {
 	rec := trace.New(*p, *k, *buf)
 	retrying := *checkpointed || *retries > 1
 	var stats mcb.Stats
-	var rcv recoveryMeta
+	var rcv mcb.Recovery
 	switch *op {
 	case "sort":
 		sopts := core.SortOptions{K: *k, Recorder: rec, Faults: plan}
@@ -110,7 +109,7 @@ func main() {
 		}
 		if rep != nil {
 			stats = rep.Stats
-			rcv = recoveryMeta{rep.Attempts, rep.Resumes, rep.CheckpointPhase, rep.ReplayedCycles, rep.DegradedK, rep.DeadChannels}
+			rcv = rep.Recovery
 		}
 	case "select":
 		sopts := core.SelectOptions{K: *k, D: (*n + 1) / 2, Recorder: rec, Faults: plan}
@@ -133,7 +132,7 @@ func main() {
 		}
 		if rep != nil {
 			stats = rep.Stats
-			rcv = recoveryMeta{rep.Attempts, rep.Resumes, rep.CheckpointPhase, rep.ReplayedCycles, rep.DegradedK, rep.DeadChannels}
+			rcv = rep.Recovery
 		}
 	default:
 		fatal(fmt.Errorf("unknown op %q", *op))
@@ -161,12 +160,7 @@ func main() {
 		err = rec.WritePerfetto(out)
 	case "summary":
 		rep := mcb.NewReport(mcb.Config{P: *p, K: *k}, &stats)
-		rep.Attempts = rcv.attempts
-		rep.Resumes = rcv.resumes
-		rep.CheckpointPhase = rcv.checkpointPhase
-		rep.ReplayedCycles = rcv.replayedCycles
-		rep.DegradedK = rcv.degradedK
-		rep.DeadChannels = rcv.deadChannels
+		rep.Recovery = rcv
 		rep.Extra = map[string]any{"op": *op, "n": *n, "seed": *seed}
 		mcb.AttachTraceSummary(rep, rec)
 		err = rep.WriteJSON(out)
@@ -178,46 +172,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-}
-
-// recoveryMeta is the retry/checkpoint metadata the summary report carries.
-type recoveryMeta struct {
-	attempts        int
-	resumes         int
-	checkpointPhase string
-	replayedCycles  int64
-	degradedK       int
-	deadChannels    []int
-}
-
-// parseOutage parses "ch:from[:to]" into a scripted outage window; an
-// omitted to means the channel never heals.
-func parseOutage(s string, k int) (mcb.Outage, error) {
-	var o mcb.Outage
-	o.To = 1 << 50
-	parts := strings.Split(s, ":")
-	if len(parts) != 2 && len(parts) != 3 {
-		return o, fmt.Errorf("bad -outage %q: want ch:from[:to]", s)
-	}
-	vals := make([]int64, len(parts))
-	for i, part := range parts {
-		v, err := strconv.ParseInt(part, 10, 64)
-		if err != nil || v < 0 {
-			return o, fmt.Errorf("bad -outage %q: %q is not a non-negative integer", s, part)
-		}
-		vals[i] = v
-	}
-	o.Ch, o.From = int(vals[0]), vals[1]
-	if len(vals) == 3 {
-		o.To = vals[2]
-	}
-	if o.Ch >= k {
-		return o, fmt.Errorf("bad -outage %q: channel %d out of range [0, %d)", s, o.Ch, k)
-	}
-	if o.To <= o.From {
-		return o, fmt.Errorf("bad -outage %q: empty window", s)
-	}
-	return o, nil
 }
 
 // writeText renders the per-cycle channel grid from the recorded events.

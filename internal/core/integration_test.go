@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"mcbnet/internal/checkpoint"
 	"mcbnet/internal/dist"
 	"mcbnet/internal/mcb"
 	"mcbnet/internal/seq"
@@ -152,6 +154,58 @@ func TestTraceConsistency(t *testing.T) {
 	if err := mcb.ValidateTrace(rec, 6, 3); err != nil {
 		t.Fatalf("full-run trace failed model validation: %v", err)
 	}
+}
+
+// TestSharedRecorderRunsAreConsecutive: engine runs that share a Recorder
+// (the segments of a checkpointed sort, the attempts of a retried one)
+// occupy consecutive cycle ranges, so the trace keeps every cycle of every
+// run apart and passes the model audit.
+func TestSharedRecorderRunsAreConsecutive(t *testing.T) {
+	inputs := dist.Values(dist.NewRNG(47), dist.NearlyEven(24, 4))
+	distinctCycles := func(rec *trace.Recorder) int64 {
+		cycles := map[int64]bool{}
+		for _, e := range rec.Events() {
+			cycles[e.Cycle] = true
+		}
+		return int64(len(cycles))
+	}
+	t.Run("checkpointed-segments", func(t *testing.T) {
+		rec := trace.New(4, 2, 1<<12)
+		_, rep, err := SortWithRetry(inputs, SortOptions{K: 2, Recorder: rec, Checkpoints: checkpoint.NewMem()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := distinctCycles(rec); got != rep.Stats.Cycles {
+			t.Errorf("trace covers %d distinct cycles, the run took %d", got, rep.Stats.Cycles)
+		}
+		if err := mcb.ValidateTrace(rec, 4, 2); err != nil {
+			t.Errorf("segmented trace failed model validation: %v", err)
+		}
+	})
+	t.Run("retry-attempts", func(t *testing.T) {
+		rec := trace.New(4, 2, 1<<12)
+		calls := 0
+		opts := SortOptions{K: 2, Recorder: rec, Retry: mcb.RetryPolicy{MaxAttempts: 2},
+			Verifier: func(in, out [][]int64, order Order) error {
+				if calls++; calls == 1 {
+					return errors.New("synthetic rejection")
+				}
+				return VerifySort(in, out, order)
+			}}
+		_, rep, err := SortWithRetry(inputs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Attempts != 2 {
+			t.Fatalf("attempts = %d, want 2", rep.Attempts)
+		}
+		if got, want := distinctCycles(rec), 2*rep.Stats.Cycles; got != want {
+			t.Errorf("trace covers %d distinct cycles, want both attempts' %d", got, want)
+		}
+		if err := mcb.ValidateTrace(rec, 4, 2); err != nil {
+			t.Errorf("two-attempt trace failed model validation: %v", err)
+		}
+	})
 }
 
 func TestSortThenSelectAgree(t *testing.T) {

@@ -14,34 +14,10 @@ import (
 // results are returned in the same order as ds.
 func MultiSelect(inputs [][]int64, ds []int, opts SelectOptions) ([]int64, *SelectReport, error) {
 	p := len(inputs)
-	if p == 0 {
-		return nil, nil, fmt.Errorf("core: no processors")
+	if err := validateSelect(inputs, opts.K, ds...); err != nil {
+		return nil, nil, err
 	}
-	if opts.K < 1 || opts.K > p {
-		return nil, nil, fmt.Errorf("core: K must satisfy 1 <= K <= P, got K=%d p=%d", opts.K, p)
-	}
-	if len(ds) == 0 {
-		return nil, nil, fmt.Errorf("core: no ranks requested")
-	}
-	n := 0
-	for _, in := range inputs {
-		n += len(in)
-	}
-	if n == 0 {
-		return nil, nil, fmt.Errorf("core: the distributed set is empty")
-	}
-	for _, d := range ds {
-		if d < 1 || d > n {
-			return nil, nil, fmt.Errorf("core: rank %d out of range [1, %d]", d, n)
-		}
-	}
-	threshold := opts.Threshold
-	if threshold <= 0 {
-		threshold = p / opts.K
-	}
-	if threshold < 1 {
-		threshold = 1
-	}
+	threshold := selectThreshold(p, opts.K, opts.Threshold)
 
 	report := &SelectReport{Algorithm: SelFiltering}
 	results := make([]int64, len(ds))
@@ -61,19 +37,24 @@ func MultiSelect(inputs [][]int64, ds []int, opts SelectOptions) ([]int64, *Sele
 			}
 		}
 	}
-	cfg := mcb.Config{P: p, K: opts.K, MaxCycles: opts.MaxCycles, StallTimeout: opts.StallTimeout,
-		Recorder: opts.Recorder, ProfileLabels: opts.ProfileLabels}
 	env := opts.runEnv()
-	res, err := env.run(cfg, progs)
-	if err != nil {
-		return nil, nil, err
+	res, err := env.run(opts.engineConfig(p), progs)
+	if res != nil {
+		report.Stats = res.Stats
+		report.derivePhaseDiagnostics()
 	}
-	report.Stats = res.Stats
-	report.derivePhaseDiagnostics()
+	if err != nil {
+		// As in Select: the partial report covers the cycles that completed
+		// before the abort (nil when the engine could not collect them).
+		if res == nil {
+			report = nil
+		}
+		return nil, report, err
+	}
 	// All answers were captured at processor 0; under a distributed
 	// transport only the peer hosting it has them.
 	if err := exchangeScalar(env, "multiselect:results", p, &results); err != nil {
-		return nil, nil, err
+		return nil, report, err
 	}
 	return results, report, nil
 }

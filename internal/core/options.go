@@ -150,23 +150,8 @@ type Report struct {
 	// the engine's per-phase accounting (Stats.Phases carries the full
 	// breakdown including messages and per-channel counts).
 	PhaseCycles []PhaseCycle
-	// Attempts is the number of attempts the retry layer used (0 or 1 =
-	// single attempt).
-	Attempts int
-	// Resumes is how many failures were recovered by continuing from a
-	// phase-boundary checkpoint instead of restarting from cycle 0.
-	Resumes int
-	// CheckpointPhase names the last accepted checkpoint the final attempt
-	// started from ("" when the run never resumed).
-	CheckpointPhase string
-	// ReplayedCycles counts cycles executed but discarded — work that is not
-	// part of the accepted run (failed attempts, rolled-back segments).
-	ReplayedCycles int64
-	// DegradedK is the reduced channel count a channel-degraded run finished
-	// on (0 = no degradation); DeadChannels lists the dropped original
-	// channel indices.
-	DegradedK    int
-	DeadChannels []int
+	// Recovery is the retry, checkpoint and channel-degradation account.
+	mcb.Recovery
 }
 
 // PhaseCycle records one phase boundary.

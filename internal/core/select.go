@@ -97,20 +97,12 @@ type SelectReport struct {
 	// Filter is the per-filter-phase breakdown: candidates, purge fraction
 	// and the engine cost of each iteration.
 	Filter []FilterPhase
-	// Attempts is the number of attempts the retry layer used (0 or 1 =
-	// single attempt).
-	Attempts int
+	// Recovery is the retry, checkpoint and channel-degradation account.
+	mcb.Recovery
 	// DeadProcs lists the processors graceful degradation gave up on: their
 	// elements are not part of the answered rank space. Empty for a full
 	// (non-degraded) result.
 	DeadProcs []int
-	// Resumes, CheckpointPhase, ReplayedCycles, DegradedK and DeadChannels
-	// mirror Report: checkpoint/resume and channel-degradation metadata.
-	Resumes         int
-	CheckpointPhase string
-	ReplayedCycles  int64
-	DegradedK       int
-	DeadChannels    []int
 }
 
 // FilterPhase is the accounting of one filtering iteration, derived from the
@@ -132,7 +124,7 @@ type FilterPhase struct {
 // distributed as inputs over an MCB(len(inputs), opts.K) network.
 func Select(inputs [][]int64, opts SelectOptions) (int64, *SelectReport, error) {
 	p := len(inputs)
-	if err := validateSelect(inputs, opts); err != nil {
+	if err := validateSelect(inputs, opts.K, opts.D); err != nil {
 		return 0, nil, err
 	}
 	threshold := selectThreshold(p, opts.K, opts.Threshold)
@@ -156,10 +148,8 @@ func Select(inputs [][]int64, opts SelectOptions) (int64, *SelectReport, error) 
 			}
 		}
 	}
-	cfg := mcb.Config{P: p, K: opts.K, MaxCycles: opts.MaxCycles, StallTimeout: opts.StallTimeout,
-		Faults: opts.Faults, Recorder: opts.Recorder, ProfileLabels: opts.ProfileLabels}
 	env := opts.runEnv()
-	res, err := env.run(cfg, progs)
+	res, err := env.run(opts.engineConfig(p), progs)
 	if res != nil {
 		report.Stats = res.Stats
 		report.derivePhaseDiagnostics()
@@ -180,15 +170,19 @@ func Select(inputs [][]int64, opts SelectOptions) (int64, *SelectReport, error) 
 	return result, report, nil
 }
 
-// validateSelect checks the inputs and options shared by Select and the
-// checkpointed selection driver.
-func validateSelect(inputs [][]int64, opts SelectOptions) error {
+// validateSelect checks the inputs, the channel count and the requested
+// descending ranks shared by Select, MultiSelect and the checkpointed
+// selection driver.
+func validateSelect(inputs [][]int64, k int, ds ...int) error {
 	p := len(inputs)
 	if p == 0 {
 		return fmt.Errorf("core: no processors")
 	}
-	if opts.K < 1 || opts.K > p {
-		return fmt.Errorf("core: K must satisfy 1 <= K <= P, got K=%d p=%d", opts.K, p)
+	if k < 1 || k > p {
+		return fmt.Errorf("core: K must satisfy 1 <= K <= P, got K=%d p=%d", k, p)
+	}
+	if len(ds) == 0 {
+		return fmt.Errorf("core: no ranks requested")
 	}
 	n := 0
 	for _, in := range inputs {
@@ -197,10 +191,26 @@ func validateSelect(inputs [][]int64, opts SelectOptions) error {
 	if n == 0 {
 		return fmt.Errorf("core: the distributed set is empty")
 	}
-	if opts.D < 1 || opts.D > n {
-		return fmt.Errorf("core: rank D=%d out of range [1, %d]", opts.D, n)
+	for _, d := range ds {
+		if d < 1 || d > n {
+			return fmt.Errorf("core: rank %d out of range [1, %d]", d, n)
+		}
 	}
 	return nil
+}
+
+// engineConfig is the engine configuration of a selection over p
+// processors; the checkpointed driver adjusts K, Faults and MaxCycles per
+// segment.
+func (o SelectOptions) engineConfig(p int) mcb.Config {
+	return mcb.Config{
+		P: p, K: o.K,
+		MaxCycles:     o.MaxCycles,
+		StallTimeout:  o.StallTimeout,
+		Faults:        o.Faults,
+		Recorder:      o.Recorder,
+		ProfileLabels: o.ProfileLabels,
+	}
 }
 
 // selectThreshold resolves the filtering threshold m*: the explicit request,

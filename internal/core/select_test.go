@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"mcbnet/internal/dist"
+	"mcbnet/internal/mcb"
 	"mcbnet/internal/seq"
 )
 
@@ -287,6 +289,27 @@ func TestMultiSelect(t *testing.T) {
 	_ = single
 	if rep.Stats.Cycles > int64(len(ds)+1)*srep.Stats.Cycles {
 		t.Errorf("multi-select cycles %d exceed %d x single (%d)", rep.Stats.Cycles, len(ds)+1, srep.Stats.Cycles)
+	}
+}
+
+// TestMultiSelectHonoursFaults: MultiSelect runs under opts.Faults like
+// Select does, so a scripted crash fails the run with a typed CrashError and
+// the partial report of the cycles before it.
+func TestMultiSelectHonoursFaults(t *testing.T) {
+	r := dist.NewRNG(211)
+	inputs := dist.Values(r, dist.NearlyEven(64, 8))
+	opts := selOpts(2, 0)
+	opts.Faults = &mcb.FaultPlan{Crashes: []mcb.Crash{{Proc: 1, Cycle: 0}}}
+	if _, _, err := Select(inputs, SelectOptions{K: 2, D: 32, Faults: opts.Faults}); !errors.As(err, new(*mcb.CrashError)) {
+		t.Fatalf("Select under the crash plan: err = %v, want a *mcb.CrashError", err)
+	}
+	got, rep, err := MultiSelect(inputs, []int{1, 32}, opts)
+	var ce *mcb.CrashError
+	if !errors.As(err, &ce) {
+		t.Fatalf("MultiSelect under the crash plan: values %v, err = %v, want a *mcb.CrashError", got, err)
+	}
+	if rep == nil {
+		t.Fatal("MultiSelect returned no partial report with its error")
 	}
 }
 

@@ -164,7 +164,7 @@ func selectSnapshotUsable(s *checkpoint.Snapshot, p, k, origD int, cards []int, 
 // be trusted).
 func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectReport, error) {
 	p := len(inputs)
-	if err := validateSelect(inputs, opts); err != nil {
+	if err := validateSelect(inputs, opts.K, opts.D); err != nil {
 		return 0, nil, err
 	}
 	if opts.Algorithm != SelFiltering {
@@ -308,11 +308,10 @@ func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectRep
 		threshold := selectThreshold(p, cs.k(), opts.Threshold)
 		snap.Threshold = threshold
 		plan := cs.curPlan.ForAttempt(snap.Attempt).Shift(snap.CyclesDone)
-		cfg := mcb.Config{
-			P: p, K: cs.k(), StallTimeout: opts.StallTimeout,
-			Faults: plan, Recorder: opts.Recorder, ProfileLabels: opts.ProfileLabels,
-			MaxCycles: segmentBudget(opts.MaxCycles, snap.CyclesDone),
-		}
+		cfg := opts.engineConfig(p)
+		cfg.K = cs.k()
+		cfg.Faults = plan
+		cfg.MaxCycles = segmentBudget(opts.MaxCycles, snap.CyclesDone)
 
 		var (
 			kind selSegKind

@@ -156,6 +156,27 @@ func Geometric(n, p int) Cardinalities {
 	return c
 }
 
+// ByName builds the named profile of n elements over p processors: "even"
+// (NearlyEven), "random" (a RandomComposition drawn from seed), "oneheavy"
+// (OneHeavy with frac heavy) or "geometric": the -dist flag of mcbsort and
+// mcbselect.
+func ByName(name string, n, p int, heavy float64, seed uint64) (Cardinalities, error) {
+	if n < p {
+		return nil, fmt.Errorf("need n >= p (every processor holds at least one element)")
+	}
+	switch name {
+	case "even":
+		return NearlyEven(n, p), nil
+	case "random":
+		return RandomComposition(NewRNG(seed^0xabcd), n, p), nil
+	case "oneheavy":
+		return OneHeavy(n, p, heavy), nil
+	case "geometric":
+		return Geometric(n, p), nil
+	}
+	return nil, fmt.Errorf("unknown distribution %q", name)
+}
+
 // Values generates element values for a cardinality profile, returning one
 // slice per processor. All elements are distinct (the paper's w.l.o.g.
 // assumption), drawn as a random permutation of [0, n) mapped through an

@@ -8,8 +8,8 @@ import (
 
 // This file is the engine's self-measurement harness: the same microbenchmark
 // workloads as bench_test.go, but runnable from a CLI (`mcbbench -engine`) so
-// the repository can record a perf trajectory (BENCH_engine.json) that future
-// PRs regress-check against. Throughput is measured directly; the per-cycle
+// the repository can record a diagnostic sweep (BENCH_engine.json).
+// Throughput is measured directly; the per-cycle
 // allocation figure is the *marginal* cost between a short and a long run of
 // the same workload, so one-time setup (engine, goroutines, Proc handles)
 // cancels out and steady-state cycles are measured alone.
@@ -47,13 +47,9 @@ type EngineBenchEntry struct {
 	AllocsPerCycle float64 `json:"allocs_per_cycle"` // marginal heap allocations per cycle
 }
 
-// BenchEnv is the provenance of a benchmark artifact: the runner properties
-// that make throughput numbers comparable. Two sweeps measured under
-// different Go versions, GOMAXPROCS or core counts are different experiments
-// — gating one against the other yields nonsense in both directions (a
-// single-core baseline makes any multi-core run look like a huge win, and
-// vice versa), which is why CompareEngineBench consumers must check
-// Mismatch first.
+// BenchEnv is the provenance of a benchmark record: the runner properties
+// that make throughput numbers comparable. Numbers measured under different
+// Go versions, GOMAXPROCS or core counts are different experiments.
 type BenchEnv struct {
 	GoVersion  string `json:"go"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
@@ -67,25 +63,6 @@ func CurrentBenchEnv() BenchEnv {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}
-}
-
-// Mismatch compares this (runner) environment against a baseline's recorded
-// provenance and returns one human-readable line per differing field, naming
-// the field and both values. Empty means the environments match and a
-// benchmark comparison is meaningful. A baseline with no recorded provenance
-// (all zero values, pre-provenance artifacts) mismatches on every field.
-func (e BenchEnv) Mismatch(base BenchEnv) []string {
-	var out []string
-	if e.GoVersion != base.GoVersion {
-		out = append(out, fmt.Sprintf("go: runner %q vs baseline %q", e.GoVersion, base.GoVersion))
-	}
-	if e.GOMAXPROCS != base.GOMAXPROCS {
-		out = append(out, fmt.Sprintf("gomaxprocs: runner %d vs baseline %d", e.GOMAXPROCS, base.GOMAXPROCS))
-	}
-	if e.NumCPU != base.NumCPU {
-		out = append(out, fmt.Sprintf("num_cpu: runner %d vs baseline %d", e.NumCPU, base.NumCPU))
-	}
-	return out
 }
 
 // engineBenchProgram returns the uniform processor program for one workload:
@@ -195,45 +172,6 @@ func EngineBench(name string, p, k int, cycles int64) (EngineBenchEntry, error) 
 		e.CyclesPerSec = float64(cycles) / elapsed.Seconds()
 	}
 	return e, nil
-}
-
-// CompareEngineBench compares a fresh engine-benchmark sweep against a
-// baseline (the committed BENCH_engine.json) and returns one human-readable
-// line per regression: a configuration whose throughput fell below
-// (1-threshold) of the baseline, or whose per-cycle allocation count grew
-// beyond the baseline by more than the threshold plus a 0.05 absolute fudge
-// (the measured figure is ~0, so a pure ratio would trip on noise).
-// Configurations present in only one of the two sweeps are ignored. An
-// empty result means the gate passes.
-func CompareEngineBench(fresh, baseline []EngineBenchEntry, threshold float64) []string {
-	key := func(e *EngineBenchEntry) string {
-		return fmt.Sprintf("%s/p=%d/k=%d", e.Name, e.P, e.K)
-	}
-	base := make(map[string]*EngineBenchEntry, len(baseline))
-	for i := range baseline {
-		base[key(&baseline[i])] = &baseline[i]
-	}
-	var regressions []string
-	for i := range fresh {
-		f := &fresh[i]
-		b, ok := base[key(f)]
-		if !ok {
-			continue
-		}
-		if b.CyclesPerSec > 0 && f.CyclesPerSec < b.CyclesPerSec*(1-threshold) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: cycles/sec %.0f -> %.0f (%.1f%% drop, limit %.0f%%)",
-				key(f), b.CyclesPerSec, f.CyclesPerSec,
-				100*(1-f.CyclesPerSec/b.CyclesPerSec), 100*threshold))
-		}
-		if f.AllocsPerCycle > b.AllocsPerCycle*(1+threshold)+0.05 {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: allocs/cycle %.4f -> %.4f (limit %.4f)",
-				key(f), b.AllocsPerCycle, f.AllocsPerCycle,
-				b.AllocsPerCycle*(1+threshold)+0.05))
-		}
-	}
-	return regressions
 }
 
 // engineSweepSizes is the default processor grid of every workload, from

@@ -105,54 +105,12 @@ func BenchmarkEngineCycleGeneral(b *testing.B) {
 	}
 }
 
-// TestBenchEnvMismatch pins the provenance check of the bench-gate: every
-// differing field is reported by name, and matching environments report
-// nothing.
+// TestBenchEnvMismatch pins the provenance every benchmark record carries:
+// CurrentBenchEnv fills every field.
 func TestBenchEnvMismatch(t *testing.T) {
 	cur := CurrentBenchEnv()
 	if cur.GoVersion == "" || cur.GOMAXPROCS < 1 || cur.NumCPU < 1 {
 		t.Fatalf("CurrentBenchEnv incomplete: %+v", cur)
-	}
-	if m := cur.Mismatch(cur); len(m) != 0 {
-		t.Fatalf("identical environments mismatch: %v", m)
-	}
-	base := BenchEnv{GoVersion: "go0.0", GOMAXPROCS: cur.GOMAXPROCS + 1, NumCPU: cur.NumCPU + 7}
-	m := cur.Mismatch(base)
-	if len(m) != 3 {
-		t.Fatalf("got %d mismatches (%v), want 3", len(m), m)
-	}
-	for i, field := range []string{"go:", "gomaxprocs:", "num_cpu:"} {
-		if len(m[i]) < len(field) || m[i][:len(field)] != field {
-			t.Errorf("mismatch %d = %q, want it to name field %q", i, m[i], field)
-		}
-	}
-	// A pre-provenance artifact (zero env) mismatches on every field.
-	if m := cur.Mismatch(BenchEnv{}); len(m) != 3 {
-		t.Fatalf("zero-provenance baseline yielded %d mismatches (%v), want 3", len(m), m)
-	}
-}
-
-// TestCompareEngineBench: entries gate against the baseline entry of the
-// same (workload, p, k); a throughput drop or an allocation rise beyond the
-// threshold fires, drift within it and unmatched entries do not.
-func TestCompareEngineBench(t *testing.T) {
-	baseline := []EngineBenchEntry{
-		{Name: BenchBarrier, P: 4, K: 1, CyclesPerSec: 1e6},
-		{Name: BenchSparse, P: 4, K: 1, CyclesPerSec: 1e5},
-	}
-	fresh := []EngineBenchEntry{
-		{Name: BenchBarrier, P: 4, K: 1, CyclesPerSec: 0.9e6},
-		{Name: BenchSparse, P: 4, K: 1, CyclesPerSec: 1.1e5},
-		{Name: BenchWriteRead, P: 4, K: 1, CyclesPerSec: 1}, // no baseline entry
-	}
-	if regs := CompareEngineBench(fresh, baseline, 0.2); len(regs) != 0 {
-		t.Fatalf("drift within the threshold fired: %v", regs)
-	}
-	fresh[1].CyclesPerSec = 1e4
-	fresh[0].AllocsPerCycle = 1
-	regs := CompareEngineBench(fresh, baseline, 0.2)
-	if len(regs) != 2 {
-		t.Fatalf("got %d regressions (%v), want 2", len(regs), regs)
 	}
 }
 

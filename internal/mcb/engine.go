@@ -754,6 +754,9 @@ func RunContext(ctx context.Context, cfg Config, programs []func(Node)) (*Result
 		rec:        cfg.Recorder,
 		recPhase:   -1,
 	}
+	if e.rec != nil {
+		e.rec.StartRun()
+	}
 	e.fast = fastEligible(cfg, e.faults)
 	// The merge path clears registers through its touched list instead of
 	// sweeping all K, so the registers must start empty; the serial resolver

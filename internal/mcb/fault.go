@@ -3,6 +3,8 @@ package mcb
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -27,6 +29,36 @@ type Outage struct {
 	Ch   int   // channel index
 	From int64 // first dead cycle (inclusive)
 	To   int64 // first live cycle again (exclusive)
+}
+
+// ParseOutage parses "ch:from[:to]", the -outage flag of mcbsort, mcbselect
+// and mcbtrace, into a scripted outage window on an MCB with k channels; an
+// omitted to means the channel never heals.
+func ParseOutage(s string, k int) (Outage, error) {
+	o := Outage{To: 1 << 50}
+	parts := strings.Split(s, ":")
+	if len(parts) != 2 && len(parts) != 3 {
+		return o, fmt.Errorf("bad -outage %q: want ch:from[:to]", s)
+	}
+	vals := make([]int64, len(parts))
+	for i, part := range parts {
+		v, err := strconv.ParseInt(part, 10, 64)
+		if err != nil || v < 0 {
+			return o, fmt.Errorf("bad -outage %q: %q is not a non-negative integer", s, part)
+		}
+		vals[i] = v
+	}
+	o.Ch, o.From = int(vals[0]), vals[1]
+	if len(vals) == 3 {
+		o.To = vals[2]
+	}
+	if o.Ch >= k {
+		return o, fmt.Errorf("bad -outage %q: channel %d out of range [0, %d)", s, o.Ch, k)
+	}
+	if o.To <= o.From {
+		return o, fmt.Errorf("bad -outage %q: empty window", s)
+	}
+	return o, nil
 }
 
 // Crash schedules a crash-stop: processor Proc completes exactly Cycle cycle

@@ -3,9 +3,10 @@ package mcb
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/bits"
+	"strings"
 	"testing"
-	"time"
 )
 
 // relayProgram builds a fixed-schedule program set: for `cycles` cycles,
@@ -357,71 +358,6 @@ func TestFaultRollDeterministicAndUniform(t *testing.T) {
 	}
 }
 
-func TestRunWithRetryRecoversFreshStallBaseline(t *testing.T) {
-	c := cfg(2, 1)
-	c.StallTimeout = 60 * time.Millisecond
-	programs := func(attempt int) []func(Node) {
-		return []func(Node){
-			func(pr Node) { pr.IdleN(4) },
-			func(pr Node) {
-				pr.Idle()
-				if attempt == 0 {
-					// Wedge past the stall timeout, then resume so the
-					// goroutine unwinds through the failed-run check.
-					time.Sleep(400 * time.Millisecond)
-				}
-				pr.IdleN(3)
-			},
-		}
-	}
-	res, attempts, err := RunWithRetry(c, programs, nil, RetryPolicy{MaxAttempts: 3})
-	if err != nil {
-		t.Fatalf("attempt 2 runs a fresh watchdog and must succeed: %v", err)
-	}
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (first stalls, second clean)", attempts)
-	}
-	if res == nil || res.Stats.Cycles != 4 {
-		t.Fatalf("unexpected result: %+v", res)
-	}
-}
-
-func TestRunWithRetryVerifierRejects(t *testing.T) {
-	c := cfg(2, 1)
-	calls := 0
-	verify := func(r *Result) error {
-		calls++
-		if calls == 1 {
-			return errors.New("rejected")
-		}
-		return nil
-	}
-	_, attempts, err := RunWithRetry(c, func(int) []func(Node) {
-		return relayPrograms(2, 1, 3, nil)
-	}, verify, RetryPolicy{MaxAttempts: 3})
-	if err != nil || attempts != 2 {
-		t.Fatalf("attempts=%d err=%v, want 2 attempts and success", attempts, err)
-	}
-}
-
-func TestRunWithRetryNonRetryableStops(t *testing.T) {
-	c := cfg(0, 0) // invalid config: validation errors recur, never retry
-	built := 0
-	_, attempts, err := RunWithRetry(c, func(int) []func(Node) {
-		built++
-		return nil
-	}, nil, RetryPolicy{MaxAttempts: 5})
-	if err == nil {
-		t.Fatal("expected a validation error")
-	}
-	if attempts != 1 || built != 1 {
-		t.Fatalf("attempts=%d built=%d, want a single attempt for a non-retryable error", attempts, built)
-	}
-	if Retryable(err) {
-		t.Fatalf("validation error classified retryable: %v", err)
-	}
-}
-
 func TestRetryableClassification(t *testing.T) {
 	for _, err := range []error{
 		&AbortError{Proc: 1, VProc: -1, Msg: "x"},
@@ -437,5 +373,38 @@ func TestRetryableClassification(t *testing.T) {
 	}
 	if Retryable(nil) || Retryable(errors.New("config")) {
 		t.Error("nil and plain errors must not be retryable")
+	}
+}
+
+// TestParseOutage pins the ch:from[:to] grammar of the -outage flag: an
+// omitted end means the channel never heals, and a malformed spec is an
+// error naming it.
+func TestParseOutage(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want Outage
+	}{
+		{"1:40", Outage{Ch: 1, From: 40, To: 1 << 50}},
+		{"0:0:7", Outage{Ch: 0, From: 0, To: 7}},
+	} {
+		got, err := ParseOutage(tc.spec, 4)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseOutage(%q) = %+v, %v; want %+v", tc.spec, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{
+		"",        // missing fields
+		"1",       // missing from
+		"1:2:3:4", // extra field
+		"1:x",     // not a number
+		"-1:40",   // negative channel
+		"1:-40",   // negative cycle
+		"4:40",    // channel >= k
+		"1:40:40", // empty window
+		"1:40:10", // end before start
+	} {
+		if _, err := ParseOutage(bad, 4); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("ParseOutage(%q): err = %v, want an error naming the spec", bad, err)
+		}
 	}
 }

@@ -41,6 +41,17 @@ type Report struct {
 	// Faults counts the injected faults of the run (nil when no fault was
 	// injected).
 	Faults *FaultStats `json:"faults,omitempty"`
+	// Recovery is the retry, checkpoint and channel-degradation account.
+	Recovery
+
+	// Extra holds caller-specific fields; keys are caller-defined.
+	Extra map[string]any `json:"extra,omitempty"`
+}
+
+// Recovery is the account of how a run reached its answer: retry attempts,
+// checkpoint resumes, discarded work and channel degradation. Report,
+// core.Report and core.SelectReport embed it, so the CLIs copy it whole.
+type Recovery struct {
 	// Attempts is the number of attempts the verify-and-retry layer used to
 	// produce the result (0 or 1 = single attempt, no retry).
 	Attempts int `json:"attempts,omitempty"`
@@ -51,17 +62,14 @@ type Report struct {
 	// started from ("" when the run never resumed).
 	CheckpointPhase string `json:"checkpoint_phase,omitempty"`
 	// ReplayedCycles counts cycles that were executed but discarded — work
-	// not on the accepted attempt's path. Lower is better; checkpointed
-	// recovery exists to shrink it.
+	// not on the accepted attempt's path (failed attempts, rolled-back
+	// segments). Lower is better; checkpointed recovery exists to shrink it.
 	ReplayedCycles int64 `json:"replayed_cycles,omitempty"`
 	// DegradedK is the reduced channel count a degraded run finished on
 	// (0 when no channel degradation occurred); DeadChannels lists the
 	// original channel indices that were dropped.
 	DegradedK    int   `json:"degraded_k,omitempty"`
 	DeadChannels []int `json:"dead_channels,omitempty"`
-
-	// Extra holds caller-specific fields; keys are caller-defined.
-	Extra map[string]any `json:"extra,omitempty"`
 }
 
 // NewReport builds a Report from a run's configuration and stats.

@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// RetryPolicy configures the verify-and-retry recovery layer (RunWithRetry
-// here; SortWithRetry / SelectWithRetry at the algorithm level). A faulted
-// run is detected — by a typed engine error or by failed output
-// verification — and re-executed on a fresh network rather than silently
-// returning a wrong answer.
+// RetryPolicy configures the verify-and-retry recovery layer
+// (core.SortWithRetry / core.SelectWithRetry). A faulted run is detected —
+// by a typed engine error or by failed output verification — and
+// re-executed on a fresh network rather than silently returning a wrong
+// answer.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts; values below 1 mean a
 	// single attempt (no retry).
@@ -31,8 +31,8 @@ type RetryPolicy struct {
 	// attempt drops those channels and re-runs on the k' < k survivors.
 	// The paper's algorithms are valid for any k ≤ p, so shrinking k only
 	// costs cycles; it beats retrying into the same dead channel forever.
-	// Used by SortWithRetry / SelectWithRetry, not by raw RunWithRetry
-	// (remapping channel indices requires rebuilding the programs).
+	// Used by SortWithRetry / SelectWithRetry, which rebuild the programs
+	// for the remapped channel indices.
 	DegradeOnOutage bool
 	// JitterSeed, when non-zero, dithers the exponential backoff with
 	// deterministic "equal jitter": attempt a waits d/2 + r·(d/2) where d is
@@ -42,13 +42,6 @@ type RetryPolicy struct {
 	// per-peer seeds de-synchronize the herd while keeping each peer's
 	// schedule reproducible. Zero keeps the exact undithered doubling.
 	JitterSeed uint64
-}
-
-func (p RetryPolicy) attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
 }
 
 // maxBackoffShift caps the exponential-backoff doubling: Backoff<<attempt
@@ -85,13 +78,6 @@ func (p RetryPolicy) BackoffFor(attempt int) time.Duration {
 	return half + time.Duration(r%(uint64(half)+1))
 }
 
-// sleep waits the backoff for the given 0-based attempt just completed.
-func (p RetryPolicy) sleep(attempt int) {
-	if d := p.BackoffFor(attempt); d > 0 {
-		time.Sleep(d)
-	}
-}
-
 // Retryable reports whether err is worth retrying on a fresh network: engine
 // aborts (anything wrapping ErrAborted, which includes the whole typed
 // taxonomy) and collisions. Configuration and validation errors are not —
@@ -105,46 +91,4 @@ func Retryable(err error) bool {
 	}
 	var ce *CollisionError
 	return errors.As(err, &ce)
-}
-
-// RunWithRetry executes Run up to pol.MaxAttempts times, each attempt on a
-// fresh network. programs(attempt) builds the per-attempt processor programs
-// (a fresh closure set so attempt-local state is not reused); verify, if
-// non-nil, checks a completed Result and returns an error to reject it.
-// cfg.Faults is re-derived per attempt via FaultPlan.ForAttempt, so
-// stochastic faults strike differently on each retry while scripted crashes
-// and outages persist.
-//
-// It returns the accepted (or last) Result, the number of attempts used, and
-// the first error of the last attempt (nil on success).
-func RunWithRetry(cfg Config, programs func(attempt int) []func(Node), verify func(*Result) error, pol RetryPolicy) (*Result, int, error) {
-	var (
-		res     *Result
-		lastErr error
-	)
-	max := pol.attempts()
-	for a := 0; a < max; a++ {
-		if a > 0 {
-			pol.sleep(a - 1)
-		}
-		acfg := cfg
-		acfg.Faults = cfg.Faults.ForAttempt(a)
-		r, err := Run(acfg, programs(a))
-		res = r
-		if err != nil {
-			lastErr = err
-			if !Retryable(err) {
-				return res, a + 1, err
-			}
-			continue
-		}
-		if verify != nil {
-			if verr := verify(r); verr != nil {
-				lastErr = verr
-				continue
-			}
-		}
-		return r, a + 1, nil
-	}
-	return res, max, lastErr
 }

@@ -19,8 +19,9 @@ import (
 //     and then carries the written message's recorded word (Event.Arg).
 //
 // It exists so tests and tools can audit full runs end to end, independent
-// of the engine's own checks. The recorder must hold exactly one run and
-// must not have overwritten any event.
+// of the engine's own checks. The recorder may hold several runs (they
+// occupy consecutive cycle ranges, see trace.Recorder.StartRun) but must not
+// have overwritten any event.
 func ValidateTrace(rec *trace.Recorder, p, k int) error {
 	if rec == nil {
 		return fmt.Errorf("mcb: nil recorder")

@@ -1,18 +1,5 @@
 package service
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"sort"
-
-	"mcbnet/internal/mcb"
-)
-
-// ServiceBenchSchema identifies the BENCH_service.json artifact family —
-// the service-layer sibling of mcbnet/engine-bench/v1.
-const ServiceBenchSchema = "mcbnet/service-bench/v1"
-
 // BenchEntry is one measured (phase, op, mode) aggregate of a profile run.
 type BenchEntry struct {
 	Profile string `json:"profile"`
@@ -35,11 +22,7 @@ type BenchEntry struct {
 	// Coalesced counts OK responses that were served by a shared run.
 	Coalesced int `json:"coalesced"`
 
-	RPS    float64 `json:"rps"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
+	RPS float64 `json:"rps"`
 }
 
 // BatchWin is the acceptance-criterion measurement: requests/sec of the
@@ -50,98 +33,11 @@ type BatchWin struct {
 	Ratio        float64 `json:"ratio"`
 }
 
-// BenchReport is the BENCH_service.json artifact: sustained-throughput and
-// latency-distribution measurements of a profile run against a live mcbd,
-// with the runner's environment provenance embedded (the CompareEngineBench
-// pattern: comparing sweeps from different machines is refused unless
-// explicitly allowed).
+// BenchReport is what a profile run measured against a live mcbd: verified
+// throughput per (phase, op, mode) and the batch win. Latency is the
+// benchmark's to measure (benchmark/), timed from each request's due time.
 type BenchReport struct {
-	Schema  string       `json:"schema"`
-	Env     mcb.BenchEnv `json:"env"`
-	Profile string       `json:"profile"`
-	// Server is the serving pool's configuration snapshot (provenance: a
-	// baseline measured against a different pool is a different
-	// experiment).
-	Server   *Stats       `json:"server,omitempty"`
+	Profile  string       `json:"profile"`
 	Entries  []BenchEntry `json:"entries"`
 	BatchWin *BatchWin    `json:"batch_win,omitempty"`
-}
-
-// WriteFile writes the report as indented JSON.
-func (r *BenchReport) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadBenchReport reads and validates a BENCH_service.json artifact.
-func LoadBenchReport(path string) (*BenchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r BenchReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != ServiceBenchSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, ServiceBenchSchema)
-	}
-	return &r, nil
-}
-
-// entryKey identifies comparable entries across reports.
-func entryKey(e BenchEntry) string {
-	return fmt.Sprintf("%s/%s/%s/%s", e.Profile, e.Phase, e.Op, e.Mode)
-}
-
-// CompareServiceBench gates a fresh report against a baseline: every
-// baseline entry present in the fresh report must hold its requests/sec
-// within ±threshold (fraction), fresh entries must have zero incorrect
-// responses, and the batch-win ratio must not collapse below the baseline's
-// by more than the threshold. One human-readable line per violation;
-// entries present on only one side are reported as notes by name but do not
-// gate (the scaffold tolerates profile evolution).
-func CompareServiceBench(fresh, baseline *BenchReport, threshold float64) []string {
-	var bad []string
-	freshByKey := map[string]BenchEntry{}
-	for _, e := range fresh.Entries {
-		freshKey := entryKey(e)
-		freshByKey[freshKey] = e
-		if e.Incorrect > 0 {
-			bad = append(bad, fmt.Sprintf("%s: %d incorrect responses", freshKey, e.Incorrect))
-		}
-	}
-	keys := make([]string, 0, len(baseline.Entries))
-	baseByKey := map[string]BenchEntry{}
-	for _, e := range baseline.Entries {
-		k := entryKey(e)
-		baseByKey[k] = e
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		base := baseByKey[k]
-		cur, ok := freshByKey[k]
-		if !ok {
-			bad = append(bad, fmt.Sprintf("%s: baseline entry missing from fresh run", k))
-			continue
-		}
-		if base.RPS <= 0 {
-			continue
-		}
-		ratio := cur.RPS / base.RPS
-		if ratio < 1-threshold || ratio > 1+threshold {
-			bad = append(bad, fmt.Sprintf("%s: rps %.1f vs baseline %.1f (%+.1f%%, threshold ±%.0f%%)",
-				k, cur.RPS, base.RPS, (ratio-1)*100, threshold*100))
-		}
-	}
-	if baseline.BatchWin != nil && fresh.BatchWin != nil &&
-		fresh.BatchWin.Ratio < baseline.BatchWin.Ratio*(1-threshold) {
-		bad = append(bad, fmt.Sprintf("batch_win: ratio %.2f vs baseline %.2f (threshold -%.0f%%)",
-			fresh.BatchWin.Ratio, baseline.BatchWin.Ratio, threshold*100))
-	}
-	return bad
 }

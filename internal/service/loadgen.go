@@ -10,15 +10,13 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"mcbnet/internal/mcb"
 )
 
 // The load generator behind cmd/mcbload: it drives a declarative Profile
 // against a live mcbd, verifies EVERY 200 response against a sequential
-// oracle, aggregates per-(phase, op, mode) throughput and latency
-// percentiles into a BenchReport, and collects assertion violations (any
-// incorrect answer, an unexpected error, a missing expected rejection).
+// oracle, aggregates per-(phase, op, mode) verified throughput into a
+// BenchReport, and collects assertion violations (any incorrect answer, an
+// unexpected error, a missing expected rejection).
 
 // LoadOptions configures a profile run.
 type LoadOptions struct {
@@ -38,7 +36,6 @@ type LoadOptions struct {
 type sample struct {
 	op        string
 	mode      string
-	latencyMS float64
 	status    int // HTTP status; 0 = transport error
 	correct   bool
 	coalesced bool
@@ -70,14 +67,7 @@ func RunProfile(profile Profile, opts LoadOptions) (report *BenchReport, violati
 		logf = func(string, ...any) {}
 	}
 
-	report = &BenchReport{
-		Schema:  ServiceBenchSchema,
-		Env:     mcb.CurrentBenchEnv(),
-		Profile: profile.Name,
-	}
-	if stats, err := fetchStats(client, opts.Addr); err == nil {
-		report.Server = stats
-	}
+	report = &BenchReport{Profile: profile.Name}
 
 	for pi, phase := range profile.Phases {
 		duration := time.Duration(float64(time.Duration(phase.Duration)) * scale)
@@ -94,8 +84,8 @@ func RunProfile(profile Profile, opts LoadOptions) (report *BenchReport, violati
 			if e.Mode == "faulted" && e.Requests > 0 && e.OK == 0 {
 				violations = append(violations, fmt.Sprintf("phase %s: no faulted %s request ever succeeded (%d exhausted)", phase.Name, e.Op, e.Exhausted))
 			}
-			logf("phase %-16s %-11s mode=%-9s requests=%-5d rps=%-8.1f p50=%.2fms p95=%.2fms p99=%.2fms rejected=%d",
-				phase.Name, e.Op, e.Mode, e.Requests, e.RPS, e.P50MS, e.P95MS, e.P99MS, e.Rejected)
+			logf("phase %-16s %-11s mode=%-9s requests=%-5d rps=%-8.1f rejected=%d",
+				phase.Name, e.Op, e.Mode, e.Requests, e.RPS, e.Rejected)
 		}
 		if incorrect > 0 {
 			violations = append(violations, fmt.Sprintf("phase %s: %d responses failed oracle verification", phase.Name, incorrect))
@@ -240,9 +230,7 @@ func doRequest(client *http.Client, addr, dist string, spec *OpSpec, rng *rand.R
 
 	s := sample{op: spec.Op, mode: specMode(spec)}
 	body, _ := json.Marshal(&req)
-	t0 := time.Now()
 	resp, err := client.Post(addr+"/v1/"+spec.Op, "application/json", bytes.NewReader(body))
-	s.latencyMS = float64(time.Since(t0)) / float64(time.Millisecond)
 	if err != nil {
 		return s
 	}
@@ -357,8 +345,6 @@ func aggregate(profile, phase string, samples []sample, elapsed time.Duration) [
 	for _, k := range order {
 		group := groups[k]
 		e := BenchEntry{Profile: profile, Phase: phase, Op: k.op, Mode: k.mode, Requests: len(group)}
-		var latencies []float64
-		var sum float64
 		for _, s := range group {
 			switch {
 			case s.status == http.StatusOK && s.correct:
@@ -366,8 +352,6 @@ func aggregate(profile, phase string, samples []sample, elapsed time.Duration) [
 				if s.coalesced {
 					e.Coalesced++
 				}
-				latencies = append(latencies, s.latencyMS)
-				sum += s.latencyMS
 			case s.status == http.StatusOK:
 				e.Incorrect++
 			case s.status == http.StatusTooManyRequests || s.status == http.StatusServiceUnavailable:
@@ -384,13 +368,6 @@ func aggregate(profile, phase string, samples []sample, elapsed time.Duration) [
 		}
 		if secs := elapsed.Seconds(); secs > 0 {
 			e.RPS = float64(e.OK) / secs
-		}
-		if len(latencies) > 0 {
-			sort.Float64s(latencies)
-			e.MeanMS = sum / float64(len(latencies))
-			e.P50MS = Percentile(latencies, 0.50)
-			e.P95MS = Percentile(latencies, 0.95)
-			e.P99MS = Percentile(latencies, 0.99)
 		}
 		entries = append(entries, e)
 	}
@@ -417,23 +394,6 @@ func deriveBatchWin(entries []BenchEntry) *BatchWin {
 		return nil
 	}
 	return &BatchWin{UnbatchedRPS: unbatched, BatchedRPS: batched, Ratio: batched / unbatched}
-}
-
-// fetchStats snapshots the server's /v1/stats (pool provenance).
-func fetchStats(client *http.Client, addr string) (*Stats, error) {
-	resp, err := client.Get(addr + "/v1/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("stats: HTTP %d", resp.StatusCode)
-	}
-	var stats Stats
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		return nil, err
-	}
-	return &stats, nil
 }
 
 // WaitReady polls /v1/healthz until the server answers or the timeout

@@ -232,8 +232,8 @@ func batchWinProfile() Profile {
 	}
 }
 
-// serviceBenchProfile is the gated benchmark: the batch-win pair plus a
-// sustained mixed phase, recorded to BENCH_service.json.
+// serviceBenchProfile is the batch-win pair (gated by mcbload -min-batch-win)
+// plus a sustained mixed phase, every answer oracle-checked.
 func serviceBenchProfile() Profile {
 	p := batchWinProfile()
 	p.Name = "service-bench"

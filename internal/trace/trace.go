@@ -144,6 +144,9 @@ type Recorder struct {
 	rings    []ring
 	phases   []string
 	phaseIdx map[string]int32
+	// base is added to every recorded cycle, and end is one past the
+	// highest cycle recorded so far; StartRun moves base to end.
+	base, end int64
 }
 
 // New returns a Recorder for a network of procs processors and channels
@@ -195,9 +198,22 @@ func (r *Recorder) Phases() []string {
 	return append([]string(nil), r.phases...)
 }
 
-// Record appends one event to the ring of e.Proc. Allocation-free; the
-// oldest event of a full ring is overwritten. e.Proc must be in [0, Procs).
+// StartRun begins an engine run, whose cycles count from 0: they are
+// recorded after every cycle recorded so far. Runs that share a recorder
+// (retry attempts, the segments of a checkpointed run) so occupy
+// consecutive cycle ranges in run order. The engine calls it once per run.
+func (r *Recorder) StartRun() {
+	r.base = r.end
+}
+
+// Record appends one event to the ring of e.Proc, its cycle shifted past
+// the earlier runs (see StartRun). Allocation-free; the oldest event of a
+// full ring is overwritten. e.Proc must be in [0, Procs).
 func (r *Recorder) Record(e Event) {
+	e.Cycle += r.base
+	if e.Cycle >= r.end {
+		r.end = e.Cycle + 1
+	}
 	r.rings[e.Proc].append(e)
 }
 
@@ -223,12 +239,14 @@ func (r *Recorder) Dropped() int64 {
 	return n
 }
 
-// Reset clears all rings and the phase table so the recorder can be reused
-// for an unrelated run. The buffers themselves are retained.
+// Reset clears all rings, the phase table and the run offset so the
+// recorder can be reused for an unrelated run. The buffers themselves are
+// retained.
 func (r *Recorder) Reset() {
 	for i := range r.rings {
 		r.rings[i].n = 0
 	}
+	r.base, r.end = 0, 0
 	r.phases = r.phases[:0]
 	for k := range r.phaseIdx {
 		delete(r.phaseIdx, k)
