@@ -67,12 +67,15 @@ profile-engine:
 		-cpuprofile engine_cpu.pprof -out /dev/null
 	$(GO) tool pprof -top -nodecount 15 engine_cpu.pprof
 
-# Checkpoint-codec fuzz smoke (CI runs the same, shorter): coverage-guided
-# decoding of mutated snapshots — anything malformed must surface as a typed
-# ErrInvalid, never a panic or a silently accepted wrong state.
+# Fuzz smoke (CI runs the same, shorter), FUZZTIME per target:
+# coverage-guided decoding of mutated checkpoint snapshots — anything
+# malformed must surface as a typed ErrInvalid, never a panic or a silently
+# accepted wrong state — and of arbitrary TCP frame bytes, which must never
+# panic the frame reader, while fuzzed frames must read back exactly.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport/tcp -run '^$$' -fuzz FuzzFrameRead -fuzztime $(FUZZTIME)
 
 # Transport robustness gate, mirroring the CI transport-chaos job: the
 # conformance suite over the in-process and TCP transports (plain and under

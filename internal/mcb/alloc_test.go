@@ -83,9 +83,9 @@ func mallocsPerRun(runs int, f func()) float64 {
 }
 
 // TestSteadyStateCycleZeroAllocs asserts that steady-state cycles are
-// allocation-free — worker rounds, gate handoffs, the fold/merge/scatter
-// stages and the IdleN sleeper heap alike: growing a run by 2000 cycles must
-// not grow its allocation count. testing.AllocsPerRun pins GOMAXPROCS to 1,
+// allocation-free — worker rounds, gate handoffs, the resolver and the IdleN
+// sleeper heap alike: growing a run by 2000 cycles must not grow its
+// allocation count. testing.AllocsPerRun pins GOMAXPROCS to 1,
 // and the engine sizes its worker set from GOMAXPROCS, so this is the
 // one-worker engine; TestShardedSteadyStateZeroAllocs covers several.
 func TestSteadyStateCycleZeroAllocs(t *testing.T) {

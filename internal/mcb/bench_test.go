@@ -80,8 +80,8 @@ func engineCycleProgram(k, n int) func(Node) {
 	}
 }
 
-// BenchmarkEngineCycle measures a full write/read traffic cycle on the
-// default (no-fault, no-recorder) fold/merge path.
+// BenchmarkEngineCycle measures a full write/read traffic cycle with no
+// fault plan and no recorder attached.
 func BenchmarkEngineCycle(b *testing.B) {
 	for _, p := range benchSizes {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
@@ -92,8 +92,9 @@ func BenchmarkEngineCycle(b *testing.B) {
 }
 
 // BenchmarkEngineCycleGeneral runs the same traffic workload with a fault
-// plan that never fires inside the run (a far-future outage), forcing the
-// general resolve path so the fast-path gain stays measurable.
+// plan that never fires inside the run (a far-future outage), so the gap to
+// BenchmarkEngineCycle is the resolver's per-cycle cost of an attached plan
+// (the outage sweep, the drop and corruption checks, the fault counters).
 func BenchmarkEngineCycleGeneral(b *testing.B) {
 	for _, p := range benchSizes {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {

@@ -2,6 +2,7 @@ package mcb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -10,11 +11,11 @@ import (
 	"mcbnet/internal/trace"
 )
 
-// Determinism regressions: the fold/merge fast path (no faults, no
-// recorder) and the serial general resolver must be observably identical,
-// and every run must be schedule-independent — identical seeds and fault
-// plans produce byte-identical Report JSON across GOMAXPROCS settings (which
-// change the shard-worker count and layout) and repeated runs.
+// Determinism regressions: what rides along with a run (a cycle recorder, a
+// fault plan that never fires) must not change its Report, and every run
+// must be schedule-independent — identical seeds and fault plans produce
+// byte-identical Report JSON across GOMAXPROCS settings (which change the
+// shard-worker count and layout) and repeated runs.
 
 // detWorkload is a deterministic mixed workload: every cycle c of the dense
 // block has k collision-free writers (processor (c+j) mod p writes channel
@@ -64,12 +65,38 @@ func detWorkload(p, k, cycles int) func(Node) {
 	}
 }
 
-// reportJSON runs the workload and renders the (Result, error)-derived
-// Report as canonical bytes. Errors are folded into the Extra field so a
-// faulted run (e.g. CrashError) still yields comparable output.
+// abortingWorkload collides processors 0 and 1 on channel 0 at cycle 1
+// while processor 3 carries a new phase marker. A cycle that aborts still
+// registers every marker its active processors carried, so the partial
+// Report lists the zero-cycle phase "late" after "a".
+func abortingWorkload(pr Node) {
+	pr.Phase("a")
+	pr.Idle()
+	switch id := pr.ID(); id {
+	case 0, 1:
+		pr.Write(0, MsgX(1, int64(id)))
+	case 3:
+		pr.Phase("late")
+		pr.Read(1)
+	default:
+		pr.Idle()
+	}
+	pr.IdleN(4)
+}
+
+// reportJSON runs detWorkload and renders its Report as canonical bytes (see
+// runReportJSON).
 func reportJSON(t *testing.T, cfg Config, p, k, cycles int) []byte {
 	t.Helper()
-	res, err := RunUniform(cfg, detWorkload(p, k, cycles))
+	return runReportJSON(t, cfg, detWorkload(p, k, cycles))
+}
+
+// runReportJSON runs prog on every processor and renders the (Result,
+// error)-derived Report as canonical bytes. Errors are folded into the Extra
+// field so a failed run (e.g. CrashError) still yields comparable output.
+func runReportJSON(t *testing.T, cfg Config, prog func(Node)) []byte {
+	t.Helper()
+	res, err := RunUniform(cfg, prog)
 	if res == nil {
 		t.Fatalf("run returned nil result (err=%v)", err)
 	}
@@ -84,42 +111,65 @@ func reportJSON(t *testing.T, cfg Config, p, k, cycles int) []byte {
 	return b
 }
 
-// detConfig is the determinism tests' run config. general attaches a cycle
-// recorder, which forces resolveGeneral, the serial reference resolver (an
-// active fault plan forces it too). The Report does not include the
-// recorder's events, so a small ring that overwrites itself is fine here.
-func detConfig(p, k int, plan *FaultPlan, general bool) Config {
+// detConfig is the determinism tests' run config; recorded attaches a cycle
+// recorder. The Report does not include the recorder's events, so a small
+// ring that overwrites itself is fine here.
+func detConfig(p, k int, plan *FaultPlan, recorded bool) Config {
 	c := Config{P: p, K: k, Faults: plan, StallTimeout: time.Minute}
-	if general {
+	if recorded {
 		c.Recorder = trace.New(p, k, 64)
 	}
 	return c
 }
 
-// TestCrossPathDeterminism holds the fast path (per-worker fold, serial
-// merge, per-worker scatter) and the general path (one serial scan) to
-// byte-identical Report JSON over network shapes whose shard layouts differ
-// — a single processor, fewer processors than workers, uneven shards — at
-// one and at four workers.
+// TestCrossPathDeterminism holds a plain run, a run with a cycle recorder
+// attached and a run with a fault plan that never fires to byte-identical
+// Report JSON, at one, two and four workers, over network shapes whose shard
+// layouts differ — a single processor, fewer processors than workers, uneven
+// shards — and over a cycle that aborts on a collision while a higher
+// processor carries a new phase marker.
 func TestCrossPathDeterminism(t *testing.T) {
 	const cycles = 96
+	type input struct {
+		p, k int
+		prog func(Node)
+	}
+	var inputs []input
+	for _, shape := range [][2]int{{1, 1}, {2, 1}, {9, 3}, {16, 4}, {33, 5}} {
+		p, k := shape[0], shape[1]
+		inputs = append(inputs, input{p, k, detWorkload(p, k, cycles)})
+	}
+	inputs = append(inputs, input{4, 2, abortingWorkload})
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, gmp := range []int{1, 4} {
+	for _, gmp := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(gmp)
-		for _, shape := range [][2]int{{1, 1}, {2, 1}, {9, 3}, {16, 4}, {33, 5}} {
-			p, k := shape[0], shape[1]
-			tag := fmt.Sprintf("GOMAXPROCS=%d p=%d k=%d", gmp, p, k)
-			fast := reportJSON(t, detConfig(p, k, nil, false), p, k, cycles)
-			general := reportJSON(t, detConfig(p, k, nil, true), p, k, cycles)
-			if !bytes.Equal(general, fast) {
-				t.Fatalf("%s: general-path report differs from fast path:\n%s\n--- want ---\n%s", tag, general, fast)
+		for _, in := range inputs {
+			tag := fmt.Sprintf("GOMAXPROCS=%d p=%d k=%d", gmp, in.p, in.k)
+			inert := &FaultPlan{Outages: []Outage{{Ch: in.k - 1, From: 1 << 40, To: 1<<40 + 1}}}
+			plain := runReportJSON(t, detConfig(in.p, in.k, nil, false), in.prog)
+			recorded := runReportJSON(t, detConfig(in.p, in.k, nil, true), in.prog)
+			planned := runReportJSON(t, detConfig(in.p, in.k, inert, false), in.prog)
+			if !bytes.Equal(recorded, plain) {
+				t.Fatalf("%s: recorded report differs from the plain run:\n%s\n--- want ---\n%s", tag, recorded, plain)
+			}
+			if !bytes.Equal(planned, plain) {
+				t.Fatalf("%s: report under an inert plan differs from the plain run:\n%s\n--- want ---\n%s", tag, planned, plain)
 			}
 		}
 	}
+	// The aborting input's partial Report must carry both markers.
+	res, err := RunUniform(detConfig(4, 2, nil, false), abortingWorkload)
+	var ce *CollisionError
+	if !errors.As(err, &ce) || ce.Cycle != 1 || ce.ProcA != 0 || ce.ProcB != 1 {
+		t.Fatalf("aborting input: got %v, want a collision of processors 0 and 1 at cycle 1", err)
+	}
+	if late := res.Stats.PhaseByName("late"); late == nil || late.Cycles != 0 || len(res.Stats.Phases) != 2 {
+		t.Fatalf("aborting input: partial Report phases = %+v, want a then a zero-cycle late", res.Stats.Phases)
+	}
 }
 
-// TestCrossGOMAXPROCSDeterminism holds the fast path, the general path and
-// a faulted run (drops, corruption, outage window, crash-stop) to
+// TestCrossGOMAXPROCSDeterminism holds a plain run, a recorded run and a
+// faulted run (drops, corruption, outage window, crash-stop) to
 // byte-identical Report JSON across GOMAXPROCS in {1, 2, 4, NumCPU} — one
 // worker, one per core, oversubscribed — and repeated runs.
 func TestCrossGOMAXPROCSDeterminism(t *testing.T) {
@@ -136,23 +186,23 @@ func TestCrossGOMAXPROCSDeterminism(t *testing.T) {
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var fastRef, faultRef []byte
+	var plainRef, faultRef []byte
 	for _, gmp := range []int{1, 2, 4, runtime.NumCPU()} {
 		runtime.GOMAXPROCS(gmp)
 		for rep := 0; rep < 2; rep++ {
 			tag := fmt.Sprintf("GOMAXPROCS=%d rep=%d", gmp, rep)
 
-			fast := reportJSON(t, detConfig(p, k, nil, false), p, k, cycles)
-			if fastRef == nil {
-				fastRef = fast
+			plain := reportJSON(t, detConfig(p, k, nil, false), p, k, cycles)
+			if plainRef == nil {
+				plainRef = plain
 			}
-			if !bytes.Equal(fast, fastRef) {
-				t.Fatalf("%s: fast-path report diverged:\n%s\n--- want ---\n%s", tag, fast, fastRef)
+			if !bytes.Equal(plain, plainRef) {
+				t.Fatalf("%s: plain report diverged:\n%s\n--- want ---\n%s", tag, plain, plainRef)
 			}
 
-			general := reportJSON(t, detConfig(p, k, nil, true), p, k, cycles)
-			if !bytes.Equal(general, fastRef) {
-				t.Fatalf("%s: general-path report differs:\n%s\n--- want ---\n%s", tag, general, fastRef)
+			recorded := reportJSON(t, detConfig(p, k, nil, true), p, k, cycles)
+			if !bytes.Equal(recorded, plainRef) {
+				t.Fatalf("%s: recorded report differs:\n%s\n--- want ---\n%s", tag, recorded, plainRef)
 			}
 
 			faulty := reportJSON(t, detConfig(p, k, plan.Clone(), false), p, k, cycles)
@@ -164,30 +214,7 @@ func TestCrossGOMAXPROCSDeterminism(t *testing.T) {
 			}
 		}
 	}
-	if bytes.Equal(fastRef, faultRef) {
-		t.Fatal("fault plan injected nothing (fast and faulted reports identical); workload lost its fault coverage")
-	}
-}
-
-// TestFastPathSelection pins down which configurations take which resolver:
-// an inactive (zero or nil) fault plan must not force the general path, and
-// an attached cycle recorder must.
-func TestFastPathSelection(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		fast bool
-	}{
-		{"default", Config{P: 2, K: 1}, true},
-		{"zero-plan", Config{P: 2, K: 1, Faults: &FaultPlan{}}, true},
-		{"recorder", Config{P: 2, K: 1, Recorder: trace.New(2, 1, 64)}, false},
-		{"drops", Config{P: 2, K: 1, Faults: &FaultPlan{DropRate: 0.1}}, false},
-		{"outage", Config{P: 2, K: 1, Faults: &FaultPlan{Outages: []Outage{{Ch: 0, From: 0, To: 1}}}}, false},
-	}
-	for _, c := range cases {
-		got := fastEligible(c.cfg, newFaultState(c.cfg.Faults, c.cfg.P))
-		if got != c.fast {
-			t.Errorf("%s: fast-path selection = %v, want %v", c.name, got, c.fast)
-		}
+	if bytes.Equal(plainRef, faultRef) {
+		t.Fatal("fault plan injected nothing (plain and faulted reports identical); workload lost its fault coverage")
 	}
 }

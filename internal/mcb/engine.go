@@ -38,11 +38,10 @@ type Config struct {
 	// (writes, reads, silences, idles, collisions, faults, phase switches)
 	// into the recorder's preallocated per-processor ring buffers for later
 	// export (JSONL, Perfetto; see internal/trace). It never allocates per
-	// event and never grows: a full ring overwrites its oldest events. A
-	// recorder forces the serial resolver (resolveGeneral). It must be sized
-	// for at least P processors and must not be shared between concurrent
-	// runs; consecutive runs (e.g. retry attempts) may share one, appending
-	// their events.
+	// event and never grows: a full ring overwrites its oldest events. It
+	// leaves the run's Stats unchanged. It must be sized for at least P
+	// processors and must not be shared between concurrent runs; consecutive
+	// runs (e.g. retry attempts) may share one, appending their events.
 	Recorder *trace.Recorder
 	// ProfileLabels attaches pprof goroutine labels (processor id, current
 	// accounting phase) to processor goroutines, so CPU profiles attribute
@@ -73,13 +72,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("mcb: recorder sized for %d processors, network has %d", c.Recorder.Procs(), c.P)
 	}
 	return nil
-}
-
-// fastEligible reports whether a run can take the fold/merge fast path
-// (resolveMerge): no active fault plan and no cycle recorder. Kept as a
-// function so the fast-path selection test pins the exact condition.
-func fastEligible(cfg Config, fs *faultState) bool {
-	return fs == nil && cfg.Recorder == nil
 }
 
 // CollisionError reports a violation of the collision-freedom requirement:
@@ -175,8 +167,7 @@ type paddedInt64 struct {
 // p) shard workers, each owning a contiguous range of processor ids (see
 // sharded.go for the cycle protocol).
 type engine struct {
-	cfg  Config
-	fast bool // no faults and no recorder: resolve takes the fold/merge path
+	cfg Config
 
 	// Shard-worker state. Processor id i is owned by worker i/shardChunk;
 	// the workers, not the processors, rendezvous at the arrived/expected
@@ -202,14 +193,15 @@ type engine struct {
 	chMsg    []Message
 	chOutage []bool // per-channel outage flag, recomputed once per cycle
 
-	// chTouched lists the channels written this cycle (fast path only):
-	// resolveMerge clears the previous cycle's registers through it in
-	// O(writes) instead of sweeping all K. chWriter starts all -1 to match.
+	// chTouched lists the channels written this cycle, in write order:
+	// resolve clears the previous cycle's registers and commits this
+	// cycle's through it in O(writes) instead of sweeping all K. chWriter
+	// starts all -1 to match.
 	chTouched []int32
-	// genAct is resolveGeneral's per-cycle active-processor scratch (only
-	// allocated on the general path): ascending ids of the live processors
-	// with a fresh submission this cycle, excluding IdleN-batch sleepers.
-	genAct []int32
+	// act is resolve's per-cycle active-processor scratch: ascending ids of
+	// the live processors with a fresh submission this cycle, excluding
+	// IdleN-batch sleepers.
+	act []int32
 
 	// Worker barrier: a sense-reversing generation counter plus spin-then-park
 	// waiters. Arrival is counted in arrived; the last arriving worker
@@ -398,7 +390,7 @@ func (e *engine) consumePhases(id int) {
 
 // stageWrite validates processor id's write and registers it in the channel
 // slots. It returns false when the write aborted the run. Stats are not
-// touched here (see the invariant on resolveGeneral).
+// touched here (see the invariant on resolve).
 func (e *engine) stageWrite(id int, op *cycleOp) bool {
 	c := int(op.writeCh)
 	if c < 0 || c >= e.cfg.K {
@@ -421,6 +413,7 @@ func (e *engine) stageWrite(id int, op *cycleOp) bool {
 	}
 	e.chWriter[c] = id
 	e.chMsg[c] = op.msg
+	e.chTouched = append(e.chTouched, int32(c))
 	return true
 }
 
@@ -437,8 +430,8 @@ func (e *engine) markExited(id int) {
 }
 
 // endCycle applies the run budgets and either finishes the run or opens the
-// next barrier generation. Shared tail of both resolvers. On abort the
-// generation is left closed: waiters observe the failed flag instead.
+// next barrier generation. On abort the generation is left closed: waiters
+// observe the failed flag instead.
 func (e *engine) endCycle() {
 	if e.cfg.MaxCycles > 0 && e.stats.Cycles >= e.cfg.MaxCycles {
 		e.abort(&BudgetError{Budget: "cycles", Limit: e.cfg.MaxCycles, Observed: e.stats.Cycles, Proc: -1})
@@ -454,34 +447,25 @@ func (e *engine) endCycle() {
 	e.advance()
 }
 
-// resolve is executed by exactly one goroutine per cycle (the last arriving
-// worker) and is therefore free of data races. Both resolvers process the
-// submitted ops in processor-id order, making runs deterministic. The fast
-// path — no fault plan, no recorder — merges the workers' pre-folded shard
-// aggregates with no fault dispatch, no event recording and no staged fault
-// counters; resolveGeneral scans the active processors serially and handles
-// the rest. Both paths must stay observably identical under a nil plan: the
-// cross-path determinism test holds them to byte-identical Report output.
-func (e *engine) resolve() {
-	if e.fast {
-		e.resolveMerge()
-	} else {
-		e.resolveGeneral()
-	}
-}
-
-// resolveGeneral is the full cycle resolver and the serial reference for
-// resolveMerge: fault injection at delivery, channel outages and cycle event
-// recording, in one processor-id-order scan of the active processors.
+// resolve is the cycle resolver, executed by exactly one goroutine per
+// cycle (the last arriving worker) and therefore free of data races. It
+// applies the model's one rule — a channel carries its single writer's word
+// or silence; a second writer fails the computation — plus fault injection
+// at delivery, channel outages and cycle event recording, in processor-id
+// order scans of the active processors, so runs are deterministic.
 //
 // Invariant: Stats reflects only fully resolved cycles. Validation (channel
 // range, collision-freedom, the message-size budget) runs before any counter
 // is touched, so a run that aborts mid-cycle leaves no partial increments
 // from the failed cycle behind.
-func (e *engine) resolveGeneral() {
-	for c := range e.chWriter {
+func (e *engine) resolve() {
+	// Clear the previous cycle's registers through its touched list.
+	// chWriter starts all -1 (engine setup) and stageWrite records every
+	// registered channel in chTouched.
+	for _, c := range e.chTouched {
 		e.chWriter[c] = -1
 	}
+	e.chTouched = e.chTouched[:0]
 	// Build this cycle's active list: live processors with a fresh
 	// submission, in ascending id order. The workers maintain the split
 	// incrementally and concatenating the shard lists in order yields id
@@ -494,7 +478,7 @@ func (e *engine) resolveGeneral() {
 	// final round, and the worker may still be mutating them on its way out.
 	// A live shard's worker arrived this round, which orders its updates
 	// before this read.
-	act := e.genAct[:0]
+	act := e.act[:0]
 	sleepers := 0
 	for w := range e.shards {
 		if e.workerLive[w] == 0 {
@@ -503,11 +487,13 @@ func (e *engine) resolveGeneral() {
 		act = append(act, e.shards[w].active...)
 		sleepers += len(e.shards[w].sleep)
 	}
-	e.genAct = act
+	e.act = act
 	// Phase markers: consumed up front, in processor-id order, so an entry
 	// exists even for a zero-traffic phase (a marker riding on the final
-	// exit op still registers). Sleepers never carry markers: an IdleN
-	// batch's first cycle goes through the full per-cycle path.
+	// exit op still registers) and a cycle that aborts still registers
+	// every marker its active processors carried. Sleepers never carry
+	// markers: an IdleN batch's first cycle goes through the full per-cycle
+	// path.
 	for _, id := range act {
 		if e.slots[id].op.hasPhases {
 			e.consumePhases(int(id))
@@ -632,15 +618,16 @@ func (e *engine) resolveGeneral() {
 		}
 	}
 	// Commit: the cycle resolved without failure, so fold its traffic into
-	// Stats (and the active phase) now.
+	// Stats (and the active phase) now. Any channel order commits the same:
+	// the counters are sums and maxima, and each writer records at most one
+	// outage event per cycle.
 	var ph *PhaseStats
 	if e.curPhase >= 0 {
 		ph = &e.stats.Phases[e.curPhase]
 	}
-	for c, id := range e.chWriter {
-		if id < 0 {
-			continue
-		}
+	for _, c32 := range e.chTouched {
+		c := int(c32)
+		id := e.chWriter[c]
 		e.stats.Messages++
 		e.stats.PerProc[id]++
 		e.stats.PerChannel[c]++
@@ -666,7 +653,12 @@ func (e *engine) resolveGeneral() {
 			ph.PerChannel[c]++
 		}
 	}
-	e.stats.Faults.add(&fDelta)
+	if plan != nil {
+		// Only a plan stages fault counters. Committing an empty delta
+		// anyway measured about a fifth of a bare cycle
+		// (BenchmarkBarrierRoundTrip, p=64, 2 CPUs).
+		e.stats.Faults.add(&fDelta)
+	}
 	if sawWork {
 		e.stats.Cycles++
 		e.cycles.Store(e.stats.Cycles)
@@ -745,6 +737,8 @@ func RunContext(ctx context.Context, cfg Config, programs []func(Node)) (*Result
 		chWriter:   make([]int, cfg.K),
 		chMsg:      make([]Message, cfg.K),
 		chOutage:   make([]bool, cfg.K),
+		chTouched:  make([]int32, 0, cfg.K),
+		act:        make([]int32, 0, cfg.P),
 		procMirror: make([]paddedMirror, cfg.P),
 		faults:     newFaultState(cfg.Faults, cfg.P),
 		phaseIdx:   make(map[string]int),
@@ -757,15 +751,10 @@ func RunContext(ctx context.Context, cfg Config, programs []func(Node)) (*Result
 	if e.rec != nil {
 		e.rec.StartRun()
 	}
-	e.fast = fastEligible(cfg, e.faults)
-	// The merge path clears registers through its touched list instead of
-	// sweeping all K, so the registers must start empty; the serial resolver
-	// re-clears every cycle regardless.
+	// resolve clears registers through its touched list instead of sweeping
+	// all K, so the registers must start empty.
 	for c := range e.chWriter {
 		e.chWriter[c] = -1
-	}
-	if !e.fast {
-		e.genAct = make([]int32, 0, cfg.P)
 	}
 	e.stats.PerProc = make([]int64, cfg.P)
 	e.stats.PerChannel = make([]int64, cfg.K)

@@ -87,20 +87,52 @@ func TestNoLeakAfterCrashAbort(t *testing.T) {
 
 func TestNoLeakAfterAbortf(t *testing.T) {
 	base := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		_, err := RunUniform(cfg(4, 2), func(pr Node) {
+	progs := []func(Node){
+		func(pr Node) {
 			pr.Idle()
 			if pr.ID() == 1 {
 				pr.Abortf("deliberate")
 			}
 			pr.IdleN(5)
-		})
-		var ae *AbortError
-		if !errors.As(err, &ae) {
-			t.Fatalf("iteration %d: got %v, want AbortError", i, err)
+		},
+		// The abort fires while the other processors sleep mid-IdleN-batch:
+		// their worker waits on no token, yet everybody must wake.
+		func(pr Node) {
+			pr.Idle()
+			if pr.ID() == 1 {
+				pr.Idle()
+				pr.Abortf("deliberate")
+			}
+			pr.IdleN(40)
+		},
+	}
+	for i := 0; i < 20; i++ {
+		for j, prog := range progs {
+			_, err := RunUniform(cfg(4, 2), prog)
+			var ae *AbortError
+			if !errors.As(err, &ae) {
+				t.Fatalf("iteration %d, program %d: got %v, want AbortError", i, j, err)
+			}
+			if ae.Proc != 1 || ae.VProc != -1 {
+				t.Fatalf("iteration %d, program %d: AbortError = %+v, want Proc=1 VProc=-1", i, j, ae)
+			}
 		}
-		if ae.Proc != 1 || ae.VProc != -1 {
-			t.Fatalf("iteration %d: AbortError = %+v, want Proc=1 VProc=-1", i, ae)
+	}
+	waitGoroutines(t, base, 3*time.Second)
+}
+
+// TestNoLeakAfterBudgetAbort: a MaxCycles budget that fires while every
+// processor sits in one big IdleN batch aborts from inside the resolver, with
+// no processor submission in flight; workers and processors must still drain.
+func TestNoLeakAfterBudgetAbort(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		c := cfg(4, 2)
+		c.MaxCycles = 16
+		_, err := RunUniform(c, func(pr Node) { pr.IdleN(1000) })
+		var be *BudgetError
+		if !errors.As(err, &be) || be.Budget != "cycles" {
+			t.Fatalf("iteration %d: got %v, want a cycles BudgetError", i, err)
 		}
 	}
 	waitGoroutines(t, base, 3*time.Second)

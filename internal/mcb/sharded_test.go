@@ -10,11 +10,12 @@ import (
 	"time"
 )
 
-// Tests of the shard-worker machinery: failure-path unwinding (no goroutine
-// leaks, no wedged barriers), the IdleN batch replay and large-p operation,
-// across worker counts. The cross-path and cross-GOMAXPROCS Report
-// equivalence lives in determinism_test.go, the one-worker zero-alloc steady
-// state in alloc_test.go.
+// Tests of the shard-worker machinery: failure-path unwinding (no wedged
+// barriers), the IdleN batch replay and large-p operation, across worker
+// counts. The cross-path and cross-GOMAXPROCS Report equivalence lives in
+// determinism_test.go, the one-worker zero-alloc steady state in
+// alloc_test.go, and the goroutine-drain checks of every abort flavour in
+// leak_test.go.
 
 // TestShardedRelayTraffic runs real collision-free traffic (every processor
 // writes in turn, everyone reads) and checks the model accounting, at worker
@@ -76,8 +77,8 @@ func TestShardedIdleNBatch(t *testing.T) {
 }
 
 // TestShardedSteadyStateZeroAllocs is the multi-worker variant of
-// TestSteadyStateCycleZeroAllocs: at 2 and 4 workers the cross-worker merge,
-// the per-worker scatter and the gate handoffs between workers must be
+// TestSteadyStateCycleZeroAllocs: at 2 and 4 workers the resolver over
+// several shards and the gate handoffs between workers must be
 // allocation-free in the steady state too, busy and idle alike. It counts
 // mallocs itself, since testing.AllocsPerRun would pin GOMAXPROCS to 1. With
 // several Ps the runtime's per-P goroutine and sudog caches make a run's
@@ -196,87 +197,6 @@ func TestShardRetirementChurn(t *testing.T) {
 	}
 }
 
-// TestShardedNoLeakAfterAborts drives every abort flavour through the engine
-// and checks that workers, processors and the run itself all drain:
-// a failure while workers sleep on their submission tokens and processors
-// park on their gates must wake everybody.
-func TestShardedNoLeakAfterAborts(t *testing.T) {
-	base := runtime.NumGoroutine()
-
-	for i := 0; i < 10; i++ {
-		// Collision.
-		_, err := RunUniform(cfg(4, 2), func(pr Node) {
-			pr.Write(0, MsgX(1, int64(pr.ID())))
-			pr.IdleN(3)
-		})
-		var colErr *CollisionError
-		if !errors.As(err, &colErr) {
-			t.Fatalf("iteration %d: got %v, want CollisionError", i, err)
-		}
-
-		// Abortf, with the other processors parked mid-IdleN-batch.
-		_, err = RunUniform(cfg(4, 2), func(pr Node) {
-			pr.Idle()
-			if pr.ID() == 1 {
-				pr.Idle()
-				pr.Abortf("deliberate")
-			}
-			pr.IdleN(40)
-		})
-		var ae *AbortError
-		if !errors.As(err, &ae) {
-			t.Fatalf("iteration %d: got %v, want AbortError", i, err)
-		}
-		if ae.Proc != 1 {
-			t.Fatalf("iteration %d: AbortError.Proc = %d, want 1", i, ae.Proc)
-		}
-
-		// Crash-stop of a whole shard: every processor a worker owns exits.
-		c := cfg(4, 2)
-		c.Faults = &FaultPlan{Seed: uint64(i + 1), Crashes: []Crash{{Proc: 2, Cycle: 3}}}
-		_, err = Run(c, relayPrograms(4, 2, 10, nil))
-		var ce *CrashError
-		if !errors.As(err, &ce) {
-			t.Fatalf("iteration %d: got %v, want CrashError", i, err)
-		}
-
-		// MaxCycles budget, firing while every processor sits in one big
-		// batch (the resolver aborts from inside a worker).
-		c = cfg(4, 2)
-		c.MaxCycles = 16
-		_, err = RunUniform(c, func(pr Node) { pr.IdleN(1000) })
-		var be *BudgetError
-		if !errors.As(err, &be) {
-			t.Fatalf("iteration %d: got %v, want BudgetError", i, err)
-		}
-	}
-	waitGoroutines(t, base, 5*time.Second)
-}
-
-// TestShardedStallWatchdog: a processor that stops issuing ops leaves its
-// worker asleep on the submission token; the stall watchdog must still fire
-// and the run must drain.
-func TestShardedStallWatchdog(t *testing.T) {
-	base := runtime.NumGoroutine()
-	c := cfg(3, 1)
-	c.StallTimeout = 50 * time.Millisecond
-	progs := []func(Node){
-		func(pr Node) { pr.IdleN(8) },
-		func(pr Node) { pr.IdleN(8) },
-		func(pr Node) {
-			pr.Idle()
-			time.Sleep(300 * time.Millisecond)
-			pr.IdleN(7)
-		},
-	}
-	_, err := Run(c, progs)
-	var se *StallError
-	if !errors.As(err, &se) {
-		t.Fatalf("got %v, want StallError", err)
-	}
-	waitGoroutines(t, base, 3*time.Second)
-}
-
 // crossProcsReports runs prog under c at each worker count in gmps and fails
 // unless the canonical Reports (with any run error folded into Extra) are
 // byte-identical across them.
@@ -290,18 +210,7 @@ func crossProcsReports(t *testing.T, tag string, c Config, gmps []int, prog func
 		if rc.Faults != nil {
 			rc.Faults = rc.Faults.Clone()
 		}
-		res, err := RunUniform(rc, prog)
-		if res == nil {
-			t.Fatalf("%s GOMAXPROCS=%d: nil result (err=%v)", tag, gmp, err)
-		}
-		rep := NewReport(rc, &res.Stats)
-		if err != nil {
-			rep.Extra = map[string]any{"error": err.Error()}
-		}
-		b, jerr := rep.JSON()
-		if jerr != nil {
-			t.Fatal(jerr)
-		}
+		b := runReportJSON(t, rc, prog)
 		if ref == nil {
 			ref = b
 		} else if !bytes.Equal(b, ref) {
@@ -341,7 +250,7 @@ func TestShardedCrashStopMidCycle(t *testing.T) {
 
 // TestShardedAbortDuringScatter aborts the run on a cycle where every other
 // processor has a read result in flight: the failure races the workers'
-// post-release scatter stage, which must neither wedge the barrier nor leak.
+// post-release wake pass, which must neither wedge the barrier nor leak.
 // The aborting processor's attribution must survive the race.
 func TestShardedAbortDuringScatter(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

@@ -12,7 +12,7 @@ import (
 )
 
 // Engine-side regression nets for the cycle recorder: trace determinism
-// across schedules and resolver paths, lossless JSONL round-trips, and
+// across schedules and fault plans, lossless JSONL round-trips, and
 // event/Stats consistency. These mirror TestCrossPathDeterminism, which
 // holds Report JSON to the same standard.
 
@@ -37,9 +37,8 @@ func traceJSONL(t *testing.T, cfg Config, p, k, cycles int) ([]byte, Stats) {
 }
 
 // TestTraceDeterminism holds recorded traces to byte-identical JSONL across
-// GOMAXPROCS settings and repeated runs, for a recorder on an otherwise
-// fast-eligible run and a recorder on a faulted run (drops, corruption,
-// outage, crash-stop).
+// GOMAXPROCS settings and repeated runs, for a recorder on a fault-free run
+// and a recorder on a faulted run (drops, corruption, outage, crash-stop).
 func TestTraceDeterminism(t *testing.T) {
 	const p, k, cycles = 9, 3, 96
 	plan := &FaultPlan{

@@ -1,13 +1,13 @@
 // Package tcp is the networked Transport: one OS process per processor
 // group, plus a sequencer process that hosts the real in-process engine and
-// resolves every cycle with the existing resolveMerge/resolveGeneral. Peers
-// run their processors' actual programs against a remote Node whose cycle
-// ops travel to the sequencer as length-prefixed, FNV-1a-checksummed,
-// sequence-numbered frames; inside the sequencer each remote processor is a
-// relay goroutine feeding the ops into a real mcb engine run. Because the
-// resolver, the fault plane and the stats accounting are literally the
-// shared code, a distributed run's Report is byte-identical to the
-// in-process engine's for the same (seed, config).
+// resolves every cycle with the engine's own resolver. Peers run their
+// processors' actual programs against a remote Node whose cycle ops travel
+// to the sequencer as length-prefixed, FNV-1a-checksummed, sequence-numbered
+// frames; inside the sequencer each remote processor is a relay goroutine
+// feeding the ops into a real mcb engine run. Because the resolver, the
+// fault plane and the stats accounting are literally the shared code, a
+// distributed run's Report is byte-identical to the in-process engine's for
+// the same (seed, config).
 //
 // See DESIGN.md "Transport layer" for the frame format and the mapping from
 // socket events to the typed failure taxonomy.
@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Frame types. A frame is:
@@ -61,6 +62,10 @@ const (
 // maxFrame bounds a frame payload; anything larger is a corrupt length
 // prefix (the state blobs of test-sized runs are well under this).
 const maxFrame = 64 << 20
+
+// readChunk is the least the payload scratch grows by while a frame's bytes
+// arrive (see frameReader.readPayload).
+const readChunk = 64 << 10
 
 type frame struct {
 	typ   byte
@@ -129,13 +134,11 @@ func (fr *frameReader) read() (frame, error) {
 		return frame{}, fmt.Errorf("tcp: frame length %d exceeds limit (corrupt prefix?)", n)
 	}
 	f := frame{typ: fr.hdr[4], seq: binary.BigEndian.Uint32(fr.hdr[5:9]), epoch: binary.BigEndian.Uint64(fr.hdr[9:17])}
-	if uint32(cap(fr.pay)) < n {
-		fr.pay = make([]byte, n)
-	}
-	f.pay = fr.pay[:n]
-	if _, err := io.ReadFull(fr.r, f.pay); err != nil {
+	pay, err := fr.readPayload(int(n))
+	if err != nil {
 		return frame{}, err
 	}
+	f.pay = pay
 	if _, err := io.ReadFull(fr.r, fr.sum[:]); err != nil {
 		return frame{}, err
 	}
@@ -143,6 +146,31 @@ func (fr *frameReader) read() (frame, error) {
 		return frame{}, fmt.Errorf("tcp: frame checksum mismatch (type %d, seq %d)", f.typ, f.seq)
 	}
 	return f, nil
+}
+
+// readPayload reads an n-byte payload into the scratch buffer. The length
+// prefix is not covered by the checksum and arrives before any hello is
+// verified, so the scratch grows only as payload bytes arrive — doubling,
+// by at least readChunk — and a prefix that claims more than the sender
+// delivers costs what arrived, not what it claimed. A scratch already large
+// enough is filled by one read, so steady-state frames allocate nothing.
+func (fr *frameReader) readPayload(n int) ([]byte, error) {
+	pay := fr.pay[:0]
+	var err error
+	for len(pay) < n && err == nil {
+		if len(pay) == cap(pay) {
+			pay = slices.Grow(pay, min(n-len(pay), max(cap(pay), readChunk)))
+		}
+		var got int
+		got, err = io.ReadFull(fr.r, pay[len(pay):min(n, cap(pay))])
+		pay = pay[:len(pay)+got]
+	}
+	fr.pay = pay
+	if err == io.EOF && len(pay) > 0 {
+		// A payload cut short after some of its bytes arrived.
+		err = io.ErrUnexpectedEOF
+	}
+	return pay, err
 }
 
 // seqWindow tracks the per-direction sequence numbers of received frames:

@@ -3,6 +3,10 @@ package tcp
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -90,6 +94,40 @@ func TestFrameReaderReusesScratch(t *testing.T) {
 	}
 }
 
+// TestFrameReaderAllocatesWhatArrives: the length prefix is not covered by
+// the checksum, so a header claiming a near-maxFrame payload followed by EOF
+// must fail having allocated for the bytes that arrived, not for the claim.
+func TestFrameReaderAllocatesWhatArrives(t *testing.T) {
+	hdr := make([]byte, 17)
+	binary.BigEndian.PutUint32(hdr[:4], maxFrame-1)
+	hdr[4] = fHello
+	binary.BigEndian.PutUint32(hdr[5:9], 1)
+	fr := newFrameReader(bufio.NewReader(bytes.NewReader(hdr)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := fr.read()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header with no payload behind it read as a frame")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("reading a bare %d-byte header allocated %d bytes, want < 1 MiB", len(hdr), got)
+	}
+
+	// A payload spanning several growth steps reads back whole, and the same
+	// frame cut short inside its second step is a truncation.
+	big := bytes.Repeat([]byte{0xAB}, 3*readChunk+5)
+	enc := appendFrame(nil, fXchg, 2, 3, big)
+	f, err := newFrameReader(bufio.NewReader(bytes.NewReader(enc))).read()
+	if err != nil || !bytes.Equal(f.pay, big) {
+		t.Fatalf("%d-byte payload: err=%v, read back %d bytes", len(big), err, len(f.pay))
+	}
+	_, err = newFrameReader(bufio.NewReader(bytes.NewReader(enc[:len(hdr)+readChunk+100]))).read()
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("payload cut inside its second growth step: got %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+}
+
 // BenchmarkFrameRead measures the steady-state decode path of one connection:
 // b.ReportAllocs keeps the zero-allocation property visible in CI output.
 func BenchmarkFrameRead(b *testing.B) {
@@ -154,4 +192,33 @@ func TestSeqWindow(t *testing.T) {
 	if _, err := w.admit(5); err == nil {
 		t.Fatal("sequence gap went undetected")
 	}
+}
+
+// FuzzFrameRead: arbitrary bytes never panic the reader (every read ends in
+// a frame or an error), and a frame built by appendFrame from fuzzed fields
+// reads back exactly.
+func FuzzFrameRead(f *testing.F) {
+	f.Add(appendFrame(nil, fOps, 1, 0, []byte(`{"round":1}`)), byte(fOps), uint32(1), uint64(0), []byte(`{"round":1}`))
+	f.Add([]byte{0, 0, 0, 1, fHello}, byte(fHello), uint32(7), uint64(1<<63+42), []byte{})
+	f.Add([]byte{0x03, 0xFF, 0xFF, 0xFF, fXchg, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, byte(fXchg), uint32(0), uint64(3), []byte("x"))
+	f.Fuzz(func(t *testing.T, data []byte, typ byte, seq uint32, epoch uint64, pay []byte) {
+		fr := newFrameReader(bufio.NewReader(bytes.NewReader(data)))
+		// Every successful read consumes at least a 25-byte header and
+		// trailer, so this bound is never what ends the loop.
+		for i := 0; i <= len(data); i++ {
+			if _, err := fr.read(); err != nil {
+				break
+			}
+		}
+
+		enc := appendFrame(nil, typ, seq, epoch, pay)
+		got, err := newFrameReader(bufio.NewReader(bytes.NewReader(enc))).read()
+		if err != nil {
+			t.Fatalf("appendFrame output failed to read back: %v", err)
+		}
+		if got.typ != typ || got.seq != seq || got.epoch != epoch || !bytes.Equal(got.pay, pay) {
+			t.Fatalf("frame read back as type=%d seq=%d epoch=%d len=%d, want type=%d seq=%d epoch=%d len=%d",
+				got.typ, got.seq, got.epoch, len(got.pay), typ, seq, epoch, len(pay))
+		}
+	})
 }

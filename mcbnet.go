@@ -159,7 +159,7 @@ func NewDirCheckpointStore(dir string) (CheckpointStore, error) {
 // DESIGN.md "Observability"). Attach a recorder via SortOptions.Recorder /
 // SelectOptions.Recorder, then export the captured run as JSONL or
 // Perfetto-loadable Chrome trace-event JSON. A recorder costs no allocations
-// per event, but it moves the run onto the engine's serial resolver.
+// per event and leaves the run's Report unchanged.
 type (
 	// TraceRecorder collects fixed-size per-cycle events (writes, reads,
 	// silences, idles, collisions, faults, phase switches) in preallocated
