@@ -18,10 +18,10 @@
 // continues after processor crash-stops with the dead processors' elements
 // given up (rank -d is then taken over the survivors).
 //
-// -checkpoint-dir enables checkpointed recovery: the filtering selection
-// runs as per-iteration segments with verified phase-boundary snapshots, and
-// failures resume from the last accepted one; -resume continues a previous
-// (killed or failed) run from the directory. -outage ch:from[:to] scripts a
+// Recovery runs the filtering selection as per-iteration segments with
+// verified phase-boundary snapshots, and failures resume from the last
+// accepted one; -checkpoint-dir also saves the snapshots into the directory,
+// and -resume continues a previous (killed or failed) run from it. -outage ch:from[:to] scripts a
 // channel outage and -degrade-outage finishes on the k' < k surviving
 // channels when the failure is attributable to scripted outages.
 package main

@@ -21,10 +21,10 @@
 // over the ~n deliveries of a sort, so recovery demos want small n, e.g.
 // mcbsort -n 64 -p 8 -k 4 -fault-rate 0.01 -retries 8.
 //
-// -checkpoint-dir enables checkpointed recovery: the sort runs as phase
-// segments, snapshotting the verified distributed state into the directory
-// at every phase boundary, and a typed failure resumes from the last
-// accepted snapshot instead of restarting from cycle 0. With -resume, a new
+// Recovery runs the sort as phase segments, and a typed failure resumes from
+// the last verified phase-boundary snapshot instead of restarting from
+// cycle 0. -checkpoint-dir also saves every accepted snapshot into the
+// directory, so that a later process can continue the run. With -resume, a new
 // invocation first looks for a compatible snapshot in the directory and
 // continues a previous (killed or failed) run from it. -outage ch:from[:to]
 // scripts a channel outage (to omitted = permanent) and -degrade-outage lets

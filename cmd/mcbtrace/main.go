@@ -8,13 +8,14 @@
 //	mcbtrace -n 24 -p 4 -k 2 [-op sort|select] [-format text|jsonl|perfetto|summary]
 //	         [-o FILE] [-cycles 40] [-readers] [-seed 1]
 //	         [-fault-rate 0.001] [-fault-seed 7]
-//	         [-checkpoint -retries 4 -outage ch:from[:to] [-degrade-outage]]
+//	         [-retries 4 -outage ch:from[:to] [-degrade-outage]]
 //
-// -checkpoint runs the operation under checkpointed recovery (an in-memory
-// store): failed segments resume from the last accepted phase-boundary
-// snapshot, the trace then spans every attempt, and -format summary carries
-// the recovery metadata (attempts, resumes, checkpoint phase, replayed
-// cycles, degraded channel set). -outage scripts a channel outage to
+// -retries above 1 runs the operation under recovery (core.SortWithRetry /
+// core.SelectWithRetry): failed segments resume from the last accepted
+// phase-boundary snapshot, the trace then spans every engine run, and
+// -format summary carries the recovery metadata (attempts, resumes,
+// checkpoint phase, replayed cycles, degraded channel set) and summarizes
+// each engine run on its own channels. -outage scripts a channel outage to
 // recover from; -degrade-outage lets the run finish on k' < k channels.
 //
 // Formats:
@@ -37,7 +38,6 @@ import (
 	"os"
 	"strings"
 
-	"mcbnet/internal/checkpoint"
 	"mcbnet/internal/core"
 	"mcbnet/internal/dist"
 	"mcbnet/internal/mcb"
@@ -57,8 +57,7 @@ func main() {
 	buf := flag.Int("buf", 1<<16, "recorder ring capacity, events per processor")
 	faultRate := flag.Float64("fault-rate", 0, "inject seeded faults: per-delivery drop rate (plus corruption at half the rate, checksum-guarded)")
 	faultSeed := flag.Uint64("fault-seed", 7, "seed for -fault-rate")
-	checkpointed := flag.Bool("checkpoint", false, "run under checkpointed recovery (in-memory store); -format summary carries the resume metadata")
-	retries := flag.Int("retries", 1, "max retry attempts for -checkpoint runs")
+	retries := flag.Int("retries", 1, "max attempts; above 1 runs under recovery, and -format summary carries the recovery metadata")
 	outageSpec := flag.String("outage", "", "scripted channel outage ch:from[:to] (to omitted = permanent)")
 	degradeOutage := flag.Bool("degrade-outage", false, "drop outage-stricken channels and finish on the survivors (k' < k)")
 	flag.Parse()
@@ -84,7 +83,7 @@ func main() {
 	}
 
 	rec := trace.New(*p, *k, *buf)
-	retrying := *checkpointed || *retries > 1
+	retrying := *retries > 1
 	var stats mcb.Stats
 	var rcv mcb.Recovery
 	switch *op {
@@ -93,9 +92,6 @@ func main() {
 		var rep *core.Report
 		var err error
 		if retrying {
-			if *checkpointed {
-				sopts.Checkpoints = checkpoint.NewMem()
-			}
 			if plan != nil {
 				sopts.MaxCycles = 64*int64(*n) + 1<<20
 			}
@@ -116,9 +112,6 @@ func main() {
 		var rep *core.SelectReport
 		var err error
 		if retrying {
-			if *checkpointed {
-				sopts.Checkpoints = checkpoint.NewMem()
-			}
 			if plan != nil {
 				sopts.MaxCycles = 64*int64(*n) + 1<<20
 			}

@@ -29,9 +29,9 @@ func main() {
 
 	// An unreliable network: 0.2% of deliveries dropped, 0.2% corrupted
 	// (detected by the per-message checksum and read as silence), all seeded.
-	// Seed 6 is a deliberately unlucky one: the first attempts fault.
+	// Seed 13 is a deliberately unlucky one: the first attempts fault.
 	plan := &mcbnet.FaultPlan{
-		Seed:        6,
+		Seed:        13,
 		DropRate:    0.002,
 		CorruptRate: 0.002,
 		Checksum:    true,
@@ -41,9 +41,10 @@ func main() {
 	_, _, err := mcbnet.Sort(inputs, mcbnet.SortOptions{K: 4, Faults: plan})
 	fmt.Printf("single attempt on the faulty network: %v\n", err)
 
-	// The retry layer re-executes faulted runs — each attempt reseeds the
-	// stochastic faults — and verifies every accepted output (sortedness,
-	// cardinality preservation, multiset-permutation of the input).
+	// The retry layer re-executes a faulted phase segment from the last
+	// verified phase boundary — each attempt reseeds the stochastic faults —
+	// and verifies every accepted output (sortedness, cardinality
+	// preservation, multiset-permutation of the input).
 	outputs, rep, err := mcbnet.SortWithRetry(inputs, mcbnet.SortOptions{
 		K:      4,
 		Faults: plan,

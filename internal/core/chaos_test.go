@@ -195,7 +195,8 @@ func chaosSort(t *testing.T, seed int64, iterations int) {
 //     answer exactly what the uninterrupted run answers — resuming from a
 //     snapshot must never bend the result;
 //   - replay economy: for a late-phase deterministic fault, resuming from
-//     checkpoints replays strictly fewer cycles than whole-run restarts;
+//     the last boundary, with a store or without, replays fewer cycles than
+//     the fault's start, which any restart from cycle 0 would replay;
 //   - degradation: a permanent scripted outage defeats plain retry (the
 //     outage never heals, every attempt dies the same death) but a
 //     checkpointed run with DegradeOnOutage finishes on the k' < k
@@ -285,42 +286,37 @@ func TestChaosResumeMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fault-free select failed: %v", err)
 		}
-		// Channel 0 dies for good halfway through and never heals: plain
-		// retry can only recover by restarting the whole run on the
-		// surviving channel; the checkpointed run resumes from its last
-		// boundary instead.
-		mk := func(ckpt bool) SelectOptions {
+		// Channel 0 dies for good halfway through and never heals. With a
+		// store or without, the run resumes from its last accepted boundary
+		// on the surviving channel, so it replays fewer cycles than the
+		// outage start; a restart from cycle 0 would replay at least that.
+		outageFrom := wantRep.Stats.Cycles / 2
+		for _, ckpt := range []bool{true, false} {
 			o := opts
-			o.Faults = permanentOutage(0, wantRep.Stats.Cycles/2)
+			o.Faults = permanentOutage(0, outageFrom)
 			o.Retry = mcb.RetryPolicy{MaxAttempts: 4, DegradeOnOutage: true}
 			if ckpt {
 				o.Checkpoints = checkpoint.NewMem()
 			}
-			return o
+			val, rep, err := SelectWithRetry(inputs, o)
+			if err != nil {
+				t.Fatalf("degraded select (store %v) failed: %v", ckpt, err)
+			}
+			if val != want {
+				t.Fatalf("degraded select (store %v) answered %d, want %d", ckpt, val, want)
+			}
+			if rep.DegradedK != 1 {
+				t.Fatalf("degraded select (store %v) should have degraded to k'=1: %+v", ckpt, rep.Recovery)
+			}
+			if rep.ReplayedCycles == 0 {
+				t.Fatalf("degraded select (store %v) reports no replayed cycles; the fault did not strike", ckpt)
+			}
+			if rep.ReplayedCycles >= outageFrom {
+				t.Fatalf("degraded select (store %v) replayed %d cycles, the outage starts at cycle %d — it restarted instead of resuming",
+					ckpt, rep.ReplayedCycles, outageFrom)
+			}
+			t.Logf("late-phase outage at cycle %d (store %v): resume replayed %d cycles", outageFrom, ckpt, rep.ReplayedCycles)
 		}
-		plainVal, plainRep, err := SelectWithRetry(inputs, mk(false))
-		if err != nil {
-			t.Fatalf("plain degraded select failed: %v", err)
-		}
-		ckptVal, ckptRep, err := SelectWithRetry(inputs, mk(true))
-		if err != nil {
-			t.Fatalf("checkpointed degraded select failed: %v", err)
-		}
-		if plainVal != want || ckptVal != want {
-			t.Fatalf("degraded answers differ: want %d, plain %d, checkpointed %d", want, plainVal, ckptVal)
-		}
-		if plainRep.DegradedK != 1 || ckptRep.DegradedK != 1 {
-			t.Fatalf("both paths should have degraded to k'=1: plain %+v, ckpt %+v", plainRep.DegradedK, ckptRep.DegradedK)
-		}
-		if plainRep.ReplayedCycles == 0 {
-			t.Fatal("plain retry reports no replayed cycles; the fault did not strike late")
-		}
-		if ckptRep.ReplayedCycles >= plainRep.ReplayedCycles {
-			t.Fatalf("checkpointed resume replayed %d cycles, whole-run restart replayed %d — checkpoints bought nothing",
-				ckptRep.ReplayedCycles, plainRep.ReplayedCycles)
-		}
-		t.Logf("late-phase outage: plain restart replayed %d cycles, checkpointed resume replayed %d",
-			plainRep.ReplayedCycles, ckptRep.ReplayedCycles)
 	})
 
 	t.Run("outage-degradation-beats-plain-retry", func(t *testing.T) {

@@ -92,24 +92,24 @@ type SortOptions struct {
 	ProfileLabels bool
 	// Faults enables deterministic fault injection (see mcb.FaultPlan).
 	Faults *mcb.FaultPlan
-	// Retry configures the verify-and-retry layer; only SortWithRetry
-	// consults it (plain Sort runs a single unverified attempt).
+	// Retry configures the recovery of SortWithRetry: attempts, backoff and
+	// channel degradation (plain Sort runs a single unverified attempt).
 	Retry mcb.RetryPolicy
-	// Verifier overrides the output check SortWithRetry applies after every
-	// successful attempt. Nil means the default VerifySort (sortedness,
+	// Verifier overrides the output check SortWithRetry applies to a
+	// finished run. Nil means the default VerifySort (sortedness,
 	// cardinality preservation, and multiset-permutation of the input).
 	Verifier SortVerifier
-	// Checkpoints, when non-nil, makes SortWithRetry run the sort as a
-	// sequence of phase segments, snapshotting the distributed state into the
-	// store at every phase boundary (after multiset verification). A typed
-	// failure then resumes from the last accepted checkpoint instead of
-	// replaying the run from cycle 0. Plain Sort ignores it.
+	// Checkpoints, when non-nil, is where SortWithRetry saves every phase
+	// boundary it accepts (after multiset verification), so that Resume can
+	// continue the run in a later process. It does not change the recovery
+	// itself: without a store the driver keeps its last accepted boundary in
+	// memory and resumes from it all the same. Plain Sort ignores it.
 	Checkpoints checkpoint.Store
 	// Resume makes SortWithRetry first consult Checkpoints.Latest() and, if
 	// a compatible snapshot for these inputs exists (same shape, same
 	// cardinalities, multiset-consistent), continue from it — the
 	// cross-process resume path of cmd/mcbsort -resume. Without Resume, a
-	// checkpointed run clears stale snapshots and starts fresh.
+	// run clears stale snapshots from Checkpoints and starts fresh.
 	Resume bool
 	// Transport selects where the processor programs execute. Nil (or
 	// transport.Local{}) runs them in-process on this machine's engine —

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mcbnet/internal/checkpoint"
 	"mcbnet/internal/mcb"
 	"mcbnet/internal/seq"
 )
@@ -158,24 +159,28 @@ func TestSelectWithRetryDegradationLosesTooMuch(t *testing.T) {
 
 // TestSelectWithRetryWithoutDegradeCrashFails: the same crash without
 // DegradeOnCrash exhausts the attempts (the scripted crash recurs) and
-// surfaces the CrashError.
+// surfaces the CrashError, with or without a checkpoint store, and the
+// report counts exactly the attempts the policy allows.
 func TestSelectWithRetryWithoutDegradeCrashFails(t *testing.T) {
 	inputs := [][]int64{{5, 3}, {9, 1}, {4, 6}}
-	o := SelectOptions{
-		K:            1,
-		D:            2,
-		MaxCycles:    1 << 20,
-		StallTimeout: 20 * time.Second,
-		Faults:       &mcb.FaultPlan{Seed: 1, Crashes: []mcb.Crash{{Proc: 1, Cycle: 0}}},
-		Retry:        mcb.RetryPolicy{MaxAttempts: 2},
-	}
-	_, rep, err := SelectWithRetry(inputs, o)
-	var ce *mcb.CrashError
-	if !errors.As(err, &ce) {
-		t.Fatalf("got %v, want CrashError", err)
-	}
-	if rep == nil || rep.Attempts != 2 {
-		t.Fatalf("report = %+v, want 2 exhausted attempts", rep)
+	for _, store := range []checkpoint.Store{nil, checkpoint.NewMem()} {
+		o := SelectOptions{
+			K:            1,
+			D:            2,
+			MaxCycles:    1 << 20,
+			StallTimeout: 20 * time.Second,
+			Faults:       &mcb.FaultPlan{Seed: 1, Crashes: []mcb.Crash{{Proc: 1, Cycle: 0}}},
+			Retry:        mcb.RetryPolicy{MaxAttempts: 2},
+			Checkpoints:  store,
+		}
+		_, rep, err := SelectWithRetry(inputs, o)
+		var ce *mcb.CrashError
+		if !errors.As(err, &ce) {
+			t.Fatalf("store %v: got %v, want CrashError", store != nil, err)
+		}
+		if rep == nil || rep.Attempts != 2 {
+			t.Fatalf("store %v: report = %+v, want 2 exhausted attempts", store != nil, rep)
+		}
 	}
 }
 

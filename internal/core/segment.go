@@ -7,7 +7,7 @@ import (
 	"mcbnet/internal/mcb"
 )
 
-// This file is the shared infrastructure of the checkpointed (segmented)
+// This file is the shared infrastructure of the recovery drivers' segmented
 // execution paths: element-state conversion to and from checkpoint snapshots,
 // multiset verification of a snapshot against the run's inputs, and the
 // channel bookkeeping of the k' < k degradation retry. The drivers live in
@@ -265,11 +265,11 @@ func sortInts(a []int) {
 // channels the failure is attributable to (nil when degradation does not
 // apply). plan must be the exact plan the failed run executed under, so the
 // window coordinates match the run's cycle numbering.
-func outageSuspects(pol mcb.RetryPolicy, plan *mcb.FaultPlan, res *mcb.Result) []int {
-	if !pol.DegradeOnOutage || res == nil {
+func outageSuspects(pol mcb.RetryPolicy, plan *mcb.FaultPlan, st *mcb.Stats) []int {
+	if !pol.DegradeOnOutage || st == nil {
 		return nil
 	}
-	return mcb.OutageSuspects(plan, &res.Stats.Faults, res.Stats.Cycles)
+	return mcb.OutageSuspects(plan, &st.Faults, st.Cycles)
 }
 
 // segmentBudget converts a whole-run MaxCycles budget into the budget of the

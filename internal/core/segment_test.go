@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mcbnet/internal/checkpoint"
+	"mcbnet/internal/dist"
 	"mcbnet/internal/mcb"
 )
 
@@ -65,12 +66,15 @@ func TestComputeGroupTableMatchesProtocol(t *testing.T) {
 	}
 }
 
-// TestCheckpointedSortMatchesPlain runs the segmented sort without faults
-// against the monolithic sort across shapes (including the single-column
-// degenerate) and both orders, requiring identical outputs and a snapshot
-// saved at every phase boundary.
+// TestCheckpointedSortMatchesPlain runs SortWithRetry without faults
+// against the monolithic Sort for every algorithm, across shapes (including
+// the single-column degenerate) and both orders, once with a checkpoint
+// store and once without. The Reports must be identical apart from the
+// single attempt recorded in Recovery — segmentation moves phase boundaries,
+// not traffic — and the store must hold a snapshot at every phase boundary.
 func TestCheckpointedSortMatchesPlain(t *testing.T) {
 	r := rand.New(rand.NewSource(0x5E65))
+	algos := append([]Algorithm{AlgoAuto, AlgoColumnsortRecursive}, sortAlgos...)
 	for trial := 0; trial < 24; trial++ {
 		p := 2 + r.Intn(6)
 		k := 1 + r.Intn(p)
@@ -79,46 +83,54 @@ func TestCheckpointedSortMatchesPlain(t *testing.T) {
 		if trial%2 == 1 {
 			order = Ascending
 		}
-		opts := SortOptions{K: k, Order: order, Algorithm: AlgoColumnsortGather}
+		for _, algo := range algos {
+			in := inputs
+			if algo == AlgoColumnsortRecursive {
+				// Recursive Columnsort requires an even distribution.
+				flat := dist.Flatten(inputs)
+				ni := len(flat) / p
+				in = make([][]int64, p)
+				for i := range in {
+					in[i] = flat[i*ni : (i+1)*ni]
+				}
+			}
+			opts := SortOptions{K: k, Order: order, Algorithm: algo}
+			want, wantRep, err := Sort(in, opts)
+			if err != nil {
+				t.Fatalf("trial %d %v: plain sort failed: %v", trial, algo, err)
+			}
+			wantRep.Recovery = mcb.Recovery{Attempts: 1}
 
-		want, wantRep, err := Sort(inputs, opts)
-		if err != nil {
-			t.Fatalf("trial %d: plain sort failed: %v", trial, err)
-		}
-
-		store := checkpoint.NewMem()
-		copts := opts
-		copts.Checkpoints = store
-		got, rep, err := SortWithRetry(inputs, copts)
-		if err != nil {
-			t.Fatalf("trial %d: checkpointed sort failed: %v", trial, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (p=%d k=%d): outputs differ\nplain: %v\nckpt:  %v", trial, p, k, want, got)
-		}
-		if rep.Attempts != 1 || rep.Resumes != 0 || rep.ReplayedCycles != 0 {
-			t.Fatalf("trial %d: fault-free run reports recovery: %+v", trial, rep)
-		}
-		if rep.Columns != wantRep.Columns || rep.ColumnLen != wantRep.ColumnLen {
-			t.Fatalf("trial %d: shape mismatch: plain (%d,%d), ckpt (%d,%d)",
-				trial, wantRep.Columns, wantRep.ColumnLen, rep.Columns, rep.ColumnLen)
-		}
-		// One fresh anchor plus one snapshot per non-terminal segment.
-		segs := len(sortSegments(rep.Columns))
-		if got, want := len(store.History()), segs; got != want {
-			t.Fatalf("trial %d: %d snapshots saved, want %d (segments=%d)", trial, got, want, segs)
-		}
-		// The segmented run costs exactly the same cycles and messages as the
-		// monolithic one (segmentation moves phase boundaries, not traffic).
-		if rep.Stats.Cycles != wantRep.Stats.Cycles || rep.Stats.Messages != wantRep.Stats.Messages {
-			t.Fatalf("trial %d: cost differs: plain %d cycles/%d msgs, ckpt %d cycles/%d msgs",
-				trial, wantRep.Stats.Cycles, wantRep.Stats.Messages, rep.Stats.Cycles, rep.Stats.Messages)
+			for _, store := range []*checkpoint.MemStore{checkpoint.NewMem(), nil} {
+				copts := opts
+				if store != nil {
+					copts.Checkpoints = store
+				}
+				got, rep, err := SortWithRetry(in, copts)
+				if err != nil {
+					t.Fatalf("trial %d %v (store %v): sort failed: %v", trial, algo, store != nil, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d %v (p=%d k=%d, store %v): outputs differ\nplain: %v\nretry: %v", trial, algo, p, k, store != nil, want, got)
+				}
+				if !reflect.DeepEqual(rep, wantRep) {
+					t.Fatalf("trial %d %v (p=%d k=%d, store %v): reports differ\nplain: %+v\nretry: %+v", trial, algo, p, k, store != nil, wantRep, rep)
+				}
+				if store == nil {
+					continue
+				}
+				// One fresh anchor plus one snapshot per non-terminal segment.
+				segs := len(sortSegments(rep.Algorithm, rep.Columns))
+				if got, want := len(store.History()), segs; got != want {
+					t.Fatalf("trial %d %v: %d snapshots saved, want %d (segments=%d)", trial, algo, got, want, segs)
+				}
+			}
 		}
 	}
 }
 
 // TestCheckpointedSelectMatchesPlain mirrors the sort equivalence test for
-// the filtering selection.
+// both selection algorithms.
 func TestCheckpointedSelectMatchesPlain(t *testing.T) {
 	r := rand.New(rand.NewSource(0xDEC1))
 	for trial := 0; trial < 24; trial++ {
@@ -126,31 +138,31 @@ func TestCheckpointedSelectMatchesPlain(t *testing.T) {
 		k := 1 + r.Intn(p)
 		inputs := chaosInputs(r, p, p+r.Intn(60))
 		n := total(inputs)
-		opts := SelectOptions{K: k, D: 1 + r.Intn(n)}
+		d := 1 + r.Intn(n)
+		for _, algo := range []SelectAlgorithm{SelFiltering, SelSortBaseline} {
+			opts := SelectOptions{K: k, D: d, Algorithm: algo}
+			want, wantRep, err := Select(inputs, opts)
+			if err != nil {
+				t.Fatalf("trial %d %v: plain select failed: %v", trial, algo, err)
+			}
+			wantRep.Recovery = mcb.Recovery{Attempts: 1}
 
-		want, wantRep, err := Select(inputs, opts)
-		if err != nil {
-			t.Fatalf("trial %d: plain select failed: %v", trial, err)
-		}
-
-		copts := opts
-		copts.Checkpoints = checkpoint.NewMem()
-		got, rep, err := SelectWithRetry(inputs, copts)
-		if err != nil {
-			t.Fatalf("trial %d: checkpointed select failed: %v", trial, err)
-		}
-		if got != want {
-			t.Fatalf("trial %d (p=%d k=%d d=%d): plain %d, checkpointed %d", trial, p, k, opts.D, want, got)
-		}
-		if rep.Attempts != 1 || rep.Resumes != 0 || rep.ReplayedCycles != 0 {
-			t.Fatalf("trial %d: fault-free run reports recovery: %+v", trial, rep)
-		}
-		if rep.Stats.Cycles != wantRep.Stats.Cycles || rep.Stats.Messages != wantRep.Stats.Messages {
-			t.Fatalf("trial %d: cost differs: plain %d cycles/%d msgs, ckpt %d cycles/%d msgs",
-				trial, wantRep.Stats.Cycles, wantRep.Stats.Messages, rep.Stats.Cycles, rep.Stats.Messages)
-		}
-		if rep.FilterPhases != wantRep.FilterPhases {
-			t.Fatalf("trial %d: filter phases: plain %d, ckpt %d", trial, wantRep.FilterPhases, rep.FilterPhases)
+			for _, store := range []*checkpoint.MemStore{checkpoint.NewMem(), nil} {
+				copts := opts
+				if store != nil {
+					copts.Checkpoints = store
+				}
+				got, rep, err := SelectWithRetry(inputs, copts)
+				if err != nil {
+					t.Fatalf("trial %d %v (store %v): select failed: %v", trial, algo, store != nil, err)
+				}
+				if got != want {
+					t.Fatalf("trial %d %v (p=%d k=%d d=%d, store %v): plain %d, retry %d", trial, algo, p, k, d, store != nil, want, got)
+				}
+				if !reflect.DeepEqual(rep, wantRep) {
+					t.Fatalf("trial %d %v (p=%d k=%d d=%d, store %v): reports differ\nplain: %+v\nretry: %+v", trial, algo, p, k, d, store != nil, wantRep, rep)
+				}
+			}
 		}
 	}
 }

@@ -58,18 +58,17 @@ type SelectOptions struct {
 	ProfileLabels bool
 	// Faults enables deterministic fault injection (see mcb.FaultPlan).
 	Faults *mcb.FaultPlan
-	// Retry configures the verify-and-retry layer; only SelectWithRetry
-	// consults it. With Retry.DegradeOnCrash set, a crashed run is retried
-	// with the dead processors' inputs treated as empty.
+	// Retry configures the recovery of SelectWithRetry. With
+	// Retry.DegradeOnCrash set, a crashed run is retried with the dead
+	// processors' inputs treated as empty.
 	Retry mcb.RetryPolicy
-	// Verifier overrides the output check SelectWithRetry applies after
-	// every successful attempt. Nil means the default VerifySelect (rank
-	// verification by recount).
+	// Verifier overrides the output check SelectWithRetry applies to a
+	// finished run. Nil means the default VerifySelect (rank verification
+	// by recount).
 	Verifier SelectVerifier
-	// Checkpoints and Resume mirror SortOptions: with a store set,
-	// SelectWithRetry runs the filtering algorithm as per-iteration segments
-	// with phase-boundary snapshots, resuming from the last accepted one on
-	// a typed failure (and across process restarts with Resume).
+	// Checkpoints and Resume mirror SortOptions: the store, when set, is
+	// where SelectWithRetry saves every accepted phase boundary, and Resume
+	// continues from its latest compatible snapshot in a later process.
 	Checkpoints checkpoint.Store
 	Resume      bool
 	// Transport and Ctx mirror SortOptions: where the processor programs
@@ -171,8 +170,7 @@ func Select(inputs [][]int64, opts SelectOptions) (int64, *SelectReport, error) 
 }
 
 // validateSelect checks the inputs, the channel count and the requested
-// descending ranks shared by Select, MultiSelect and the checkpointed
-// selection driver.
+// descending ranks shared by Select, MultiSelect and SelectWithRetry.
 func validateSelect(inputs [][]int64, k int, ds ...int) error {
 	p := len(inputs)
 	if p == 0 {
@@ -200,8 +198,7 @@ func validateSelect(inputs [][]int64, k int, ds ...int) error {
 }
 
 // engineConfig is the engine configuration of a selection over p
-// processors; the checkpointed driver adjusts K, Faults and MaxCycles per
-// segment.
+// processors; SelectWithRetry adjusts K, Faults and MaxCycles per segment.
 func (o SelectOptions) engineConfig(p int) mcb.Config {
 	return mcb.Config{
 		P: p, K: o.K,
@@ -214,7 +211,7 @@ func (o SelectOptions) engineConfig(p int) mcb.Config {
 }
 
 // selectThreshold resolves the filtering threshold m*: the explicit request,
-// or the paper's max(1, p/k). The checkpointed driver recomputes it when a
+// or the paper's max(1, p/k). SelectWithRetry recomputes it when a
 // channel-degraded run continues on k' < k channels.
 func selectThreshold(p, k, requested int) int {
 	if requested > 0 {
@@ -326,7 +323,7 @@ func selectFiltering(pr mcb.Node, mine []elem, d, threshold int, phases string) 
 // candidate list: weighted-median election, network-wide counting, then a
 // purge of one side (or exact termination). It returns the surviving local
 // candidates and the updated (d, m); found/res report that med* was the
-// answer. The checkpointed driver runs each iteration as its own segment —
+// answer. SelectWithRetry runs each iteration as its own segment —
 // the loop state (cands, d, m, iter) is exactly what a phase-boundary
 // snapshot carries.
 func filterIteration(pr mcb.Node, cands []elem, d, m, iter int, phases string) ([]elem, int, int, bool, elem) {

@@ -10,22 +10,23 @@ import (
 	"mcbnet/internal/seq"
 )
 
-// This file is the checkpointed execution path of the Section 8 filtering
-// selection. The filtering loop is naturally segmented: its complete state
-// between iterations is (local candidate lists, d, m, iteration count), which
-// is exactly what a Snapshot carries. Each iteration runs as its own engine
-// invocation; a typed failure replays only the failed iteration. Unlike the
-// sort, the candidate state is independent of the channel count, so a
-// channel-degraded run resumes from the last checkpoint at k' < k instead of
-// restarting.
+// This file is the selection's recovery driver, SelectWithRetry, and the
+// segmented execution of the Section 8 filtering selection. The filtering
+// loop is naturally segmented: its complete state between iterations is
+// (local candidate lists, d, m, iteration count), which is exactly what a
+// Snapshot carries. Each iteration runs as its own engine invocation; a
+// typed failure replays only the failed iteration. Unlike the sort, the
+// candidate state is independent of the channel count, so a channel-degraded
+// run resumes from the last checkpoint at k' < k instead of restarting.
 
-// selSegKind enumerates the segment shapes of the filtering selection.
+// selSegKind enumerates the segment shapes of a selection.
 type selSegKind int
 
 const (
 	selInit    selSegKind = iota // local sort + network-wide count
 	selFilter                    // one filtering iteration
 	selCollect                   // survivor collection at P_1 (terminal)
+	selWhole                     // the whole selection as one Select run (terminal)
 )
 
 // selSegOut is the host-visible outcome of one selection segment: the
@@ -35,14 +36,17 @@ type selSegOut struct {
 	state [][]checkpoint.Elem
 	d, m  int
 	found bool // selFilter: the iteration located the answer exactly
-	res   elem // the answer when found (or the selCollect result)
+	res   elem // the answer when found (or the terminal segment's result)
 }
 
-// runSelectSegment executes one selection segment as its own engine run.
-// state is the snapshot element state entering the segment (raw per-processor
-// inputs for selInit, descending-sorted candidate lists otherwise) and is
-// cloned before injection.
-func runSelectSegment(env runEnv, kind selSegKind, state [][]checkpoint.Elem, d, m, iter int, cfg mcb.Config) (*selSegOut, *mcb.Result, error) {
+// runSelectSegment executes one filtering segment as its own engine run.
+// state is the snapshot element state entering the segment (raw
+// per-processor inputs for selInit, descending-sorted candidate lists
+// otherwise) and is cloned before injection. cards are the per-processor
+// input counts: every segment accounts them as auxiliary memory, as the
+// one-run program keeps its input-sized candidate list throughout. st is the
+// run's (possibly partial) cost, nil when the engine could not collect it.
+func runSelectSegment(env runEnv, kind selSegKind, state [][]checkpoint.Elem, cards []int, d, m, iter int, cfg mcb.Config) (out *selSegOut, st *mcb.Stats, err error) {
 	p := cfg.P
 	elems := make([][]elem, p)
 	for i, l := range state {
@@ -52,18 +56,18 @@ func runSelectSegment(env runEnv, kind selSegKind, state [][]checkpoint.Elem, d,
 		}
 		elems[i] = e
 	}
-	out := &selSegOut{state: make([][]checkpoint.Elem, p)}
+	out = &selSegOut{state: make([][]checkpoint.Elem, p)}
 	nextElems := make([][]elem, p)
 
 	progs := make([]func(mcb.Node), p)
 	for i := range progs {
 		id := i
 		progs[i] = func(pr mcb.Node) {
+			pr.AccountAux(int64(cards[id]))
 			switch kind {
 			case selInit:
 				cands := append([]elem(nil), elems[id]...)
 				seq.Sort(cands, func(a, b elem) bool { return a.greater(b) })
-				pr.AccountAux(int64(len(cands)))
 				total := int(partial.PhasedTotal(pr, int64(len(cands)), partial.Sum, "select:init"))
 				nextElems[id] = cands
 				if id == 0 {
@@ -84,8 +88,11 @@ func runSelectSegment(env runEnv, kind selSegKind, state [][]checkpoint.Elem, d,
 		}
 	}
 	res, err := env.run(cfg, progs)
+	if res != nil {
+		st = &res.Stats
+	}
 	if err != nil {
-		return nil, res, err
+		return nil, st, err
 	}
 	for i, l := range nextElems {
 		out.state[i] = elemsToCkpt(l)
@@ -95,14 +102,14 @@ func runSelectSegment(env runEnv, kind selSegKind, state [][]checkpoint.Elem, d,
 	// processor 0: exchange both so every peer's driver continues from the
 	// identical boundary.
 	if xerr := exchangeSlices(env, "select:seg:state", out.state); xerr != nil {
-		return nil, res, xerr
+		return nil, st, xerr
 	}
 	scalars := selSegScalars{D: out.d, M: out.m, Found: out.found, Res: out.res}
 	if xerr := exchangeScalar(env, "select:seg:scalars", p, &scalars); xerr != nil {
-		return nil, res, xerr
+		return nil, st, xerr
 	}
 	out.d, out.m, out.found, out.res = scalars.D, scalars.M, scalars.Found, scalars.Res
-	return out, res, nil
+	return out, st, nil
 }
 
 // selSegScalars is the wire form of a segment's globally agreed scalars for
@@ -136,12 +143,12 @@ func verifySelectSnapshot(s *checkpoint.Snapshot, want map[elemKey]int) error {
 // resumed. Aux[0] carries the originally requested rank (d mutates as sides
 // are purged); the tail lists dead original channels of a recorded
 // degradation.
-func selectSnapshotUsable(s *checkpoint.Snapshot, p, k, origD int, cards []int, want map[elemKey]int) error {
+func selectSnapshotUsable(s *checkpoint.Snapshot, algo SelectAlgorithm, p, k, origD int, cards []int, want map[elemKey]int) error {
 	switch {
 	case s.Kind != "select":
 		return fmt.Errorf("snapshot kind %q, want select", s.Kind)
-	case s.Algo != SelFiltering.String():
-		return fmt.Errorf("snapshot algorithm %q, want %q", s.Algo, SelFiltering)
+	case s.Algo != algo.String():
+		return fmt.Errorf("snapshot algorithm %q, want %q", s.Algo, algo)
 	case s.P != p:
 		return fmt.Errorf("snapshot has p=%d, run has p=%d", s.P, p)
 	case s.K+len(s.Aux)-1 != k:
@@ -154,27 +161,30 @@ func selectSnapshotUsable(s *checkpoint.Snapshot, p, k, origD int, cards []int, 
 	return verifySelectSnapshot(s, want)
 }
 
-// selectCheckpointed is the checkpoint/resume driver for the filtering
-// selection: SelectWithRetry routes here when opts.Checkpoints is set and the
-// algorithm is SelFiltering. Structure mirrors sortCheckpointed; the
-// differences are that a channel degradation resumes from the checkpoint
-// (candidate state is k-agnostic, only the threshold m* is recomputed), and
-// that DegradeOnCrash falls back to a full restart with the dead processors
-// emptied (their candidates are lost, so no checkpoint containing them can
-// be trusted).
-func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectReport, error) {
+// SelectWithRetry selects like Select, but verifies and recovers, with the
+// structure of SortWithRetry: the filtering algorithm runs as per-iteration
+// segments with verified boundary snapshots (into opts.Checkpoints when set,
+// in memory only otherwise), the sort baseline as one whole-run segment, and
+// a retryable failure resumes from the last accepted boundary. Every answer
+// is verified by recount (default VerifySelect); a rejected answer or a
+// corrupt boundary restarts from phase 0. With Retry.DegradeOnOutage set, an
+// outage-attributable failure drops the dead channels and resumes from the
+// same boundary on the survivors (candidate state is k-agnostic; only the
+// threshold m* is recomputed). With Retry.DegradeOnCrash set, a CrashError
+// restarts with the crashed processors treated as empty — the protocols are
+// silence-tolerant, so the computation proceeds without them and answers
+// rank opts.D over the surviving elements; the report lists the processors
+// given up on in DeadProcs.
+func SelectWithRetry(inputs [][]int64, opts SelectOptions) (int64, *SelectReport, error) {
 	p := len(inputs)
 	if err := validateSelect(inputs, opts.K, opts.D); err != nil {
 		return 0, nil, err
-	}
-	if opts.Algorithm != SelFiltering {
-		return 0, nil, errNotSegmentable
 	}
 	verifier := opts.Verifier
 	if verifier == nil {
 		verifier = VerifySelect
 	}
-	store := opts.Checkpoints
+	store := storeOrNone(opts.Checkpoints)
 	pol := opts.Retry
 	maxAtt := retryAttempts(pol)
 	env := opts.runEnv()
@@ -188,7 +198,7 @@ func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectRep
 
 	freshSnap := func() *checkpoint.Snapshot {
 		s := &checkpoint.Snapshot{
-			Kind: "select", Algo: SelFiltering.String(), P: p, K: cs.k(),
+			Kind: "select", Algo: opts.Algorithm.String(), P: p, K: cs.k(),
 			D: opts.D, M: multisetTotal(want),
 			Cards: append([]int(nil), cards...),
 			Aux:   append([]int64{int64(opts.D)}, cs.deadAux()...),
@@ -200,13 +210,13 @@ func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectRep
 		return s
 	}
 
-	rep := &SelectReport{Algorithm: SelFiltering}
+	rep := &SelectReport{Algorithm: opts.Algorithm}
 	var accepted mcb.Stats
 
 	var snap *checkpoint.Snapshot
 	if opts.Resume {
 		if ls, lerr := store.Latest(); lerr == nil && ls != nil {
-			if rerr := selectSnapshotUsable(ls, p, opts.K, opts.D, cards, want); rerr == nil {
+			if rerr := selectSnapshotUsable(ls, opts.Algorithm, p, opts.K, opts.D, cards, want); rerr == nil {
 				if cs.restoreDead(ls.Aux[1:]) {
 					snap = ls
 					if ls.Phase > 0 {
@@ -234,7 +244,7 @@ func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectRep
 		rep.DegradedK = cs.k()
 		rep.DeadChannels = append([]int(nil), cs.deadOrig...)
 	}
-	hist := newPhaseHistory()
+	hist := newPhaseHistory(env)
 	hist.record(snap, &accepted)
 	// Distributed runs align the peer drivers at the start of every attempt
 	// (see resyncPhases); in-process runs skip the exchange entirely.
@@ -264,9 +274,9 @@ func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectRep
 		return store.Save(snap)
 	}
 
-	accept := func(cand *checkpoint.Snapshot, res *mcb.Result) error {
-		cand.CyclesDone += res.Stats.Cycles
-		cand.MessagesDone += res.Stats.Messages
+	accept := func(cand *checkpoint.Snapshot, st *mcb.Stats) error {
+		cand.CyclesDone += st.Cycles
+		cand.MessagesDone += st.Messages
 		cand.Aux = append([]int64{int64(opts.D)}, cs.deadAux()...)
 		cand.K = cs.k()
 		if err := verifySelectSnapshot(cand, want); err != nil {
@@ -276,26 +286,20 @@ func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectRep
 			return err
 		}
 		snap = cand
-		accepted.Add(&res.Stats)
+		accepted.Add(st)
 		hist.record(snap, &accepted)
 		return nil
 	}
 
-	var lastErr error
 	for {
 		if needSync {
 			rs, rerr := resyncPhases(env, "select", p, snap, hist, &accepted)
 			if rerr != nil {
-				if !mcb.Retryable(rerr) {
+				if !mcb.Retryable(rerr) || snap.Attempt+1 >= maxAtt {
 					finishReport()
 					return 0, rep, rerr
 				}
-				lastErr = rerr
 				snap.Attempt++
-				if snap.Attempt >= maxAtt {
-					finishReport()
-					return 0, rep, lastErr
-				}
 				retryBackoff(pol, snap.Attempt)
 				continue
 			}
@@ -318,6 +322,8 @@ func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectRep
 			name string
 		)
 		switch {
+		case opts.Algorithm != SelFiltering:
+			kind = selWhole
 		case snap.Phase == 0:
 			kind, name = selInit, "select:init"
 		case snap.M > threshold:
@@ -326,10 +332,25 @@ func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectRep
 			kind, name = selCollect, "select:collect"
 		}
 
-		out, res, err := runSelectSegment(env, kind, snap.State, snap.D, snap.M, snap.Iter, cfg)
+		var (
+			out *selSegOut
+			st  *mcb.Stats
+			err error
+		)
+		if kind == selWhole {
+			wopts := opts
+			wopts.K, wopts.Faults, wopts.MaxCycles = cfg.K, cfg.Faults, cfg.MaxCycles
+			val, wrep, werr := Select(cur, wopts)
+			if wrep != nil {
+				st = &wrep.Stats
+			}
+			out, err = &selSegOut{res: elem{V: val}}, werr
+		} else {
+			out, st, err = runSelectSegment(env, kind, snap.State, snap.Cards, snap.D, snap.M, snap.Iter, cfg)
+		}
 		if err == nil {
 			switch {
-			case kind == selCollect || out.found:
+			case kind == selCollect || kind == selWhole || out.found:
 				// Terminal: verify the answer against the (possibly
 				// degraded) inputs by recount.
 				val := out.res.V
@@ -337,9 +358,9 @@ func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectRep
 					err = corruptionError("select", verr)
 					break
 				}
-				accepted.Add(&res.Stats)
-				snap.CyclesDone += res.Stats.Cycles
-				snap.MessagesDone += res.Stats.Messages
+				accepted.Add(st)
+				snap.CyclesDone += st.Cycles
+				snap.MessagesDone += st.Messages
 				finishReport()
 				return val, rep, nil
 			default:
@@ -351,12 +372,11 @@ func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectRep
 				if kind == selFilter {
 					cand.Iter++
 				}
-				err = accept(cand, res)
+				err = accept(cand, st)
 				if err == nil {
 					continue
 				}
-				var ce *mcb.CorruptionError
-				if !errors.As(err, &ce) {
+				if !isCorruption(err) {
 					return 0, nil, err // store failure
 				}
 			}
@@ -364,51 +384,44 @@ func selectCheckpointed(inputs [][]int64, opts SelectOptions) (int64, *SelectRep
 
 		// Segment failed (typed engine error, corrupt boundary, or a wrong
 		// final answer): the cycles it burned are replayed work.
-		lastErr = err
-		if res != nil {
-			snap.ReplayedCycles += res.Stats.Cycles
+		if st != nil {
+			snap.ReplayedCycles += st.Cycles
 		}
-		if !mcb.Retryable(err) {
+		if !mcb.Retryable(err) || snap.Attempt+1 >= maxAtt {
 			finishReport()
 			return 0, rep, err
 		}
-		snap.Attempt++
-		if snap.Attempt >= maxAtt {
-			finishReport()
-			return 0, rep, lastErr
-		}
-		retryBackoff(pol, snap.Attempt)
-		needSync = true
-
 		var crash *mcb.CrashError
-		switch {
-		case pol.DegradeOnCrash && errors.As(err, &crash):
+		degradeCrash := pol.DegradeOnCrash && errors.As(err, &crash)
+		if degradeCrash {
 			// Give the dead processors up: their candidates are lost, so
-			// every checkpoint containing them is untrustworthy — restart
-			// with the processors emptied and their scheduled crashes
-			// removed.
+			// every checkpoint containing them is untrustworthy — the run
+			// restarts with the processors emptied and their scheduled
+			// crashes removed.
 			cur = emptyProcs(cur, crash.Procs)
 			deadProcs = mergeProcs(deadProcs, crash.Procs)
 			cs.curPlan = cs.curPlan.WithoutCrashes(crash.Procs)
 			cards = cardsOf(cur)
 			elems = inputElems(cur, false)
 			want = elemCounts(elems)
-			remaining := multisetTotal(want)
-			if opts.D > remaining {
+			if remaining := multisetTotal(want); opts.D > remaining {
 				finishReport()
 				return 0, rep, fmt.Errorf("core: graceful degradation lost too many elements: rank %d > %d survivors: %w", opts.D, remaining, err)
 			}
-			if rerr := restart(); rerr != nil {
-				return 0, nil, rerr
-			}
-		case isCorruption(err):
-			// The accepted checkpoints may carry the same silent corruption:
-			// full restart.
+		}
+		snap.Attempt++
+		retryBackoff(pol, snap.Attempt)
+		needSync = true
+
+		switch {
+		case degradeCrash || isCorruption(err):
+			// Degraded inputs, or accepted checkpoints that may carry the
+			// same silent corruption: full restart.
 			if rerr := restart(); rerr != nil {
 				return 0, nil, rerr
 			}
 		default:
-			if suspects := outageSuspects(pol, plan, res); len(suspects) > 0 && cs.k()-len(suspects) >= 1 {
+			if suspects := outageSuspects(pol, plan, st); len(suspects) > 0 && cs.k()-len(suspects) >= 1 {
 				// Candidate state does not depend on k: drop the dead
 				// channels and resume from the same checkpoint on the
 				// survivors.

@@ -106,8 +106,8 @@ type sortGeometry struct {
 	ColumnLen int `json:"column_len"`
 }
 
-// validateSort checks the inputs and options shared by Sort and the
-// checkpointed sort driver, and resolves AlgoAuto to a concrete algorithm.
+// validateSort checks the inputs and options shared by Sort and
+// SortWithRetry, and resolves AlgoAuto to a concrete algorithm.
 func validateSort(inputs [][]int64, opts SortOptions) (Algorithm, error) {
 	p := len(inputs)
 	if p == 0 {

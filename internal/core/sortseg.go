@@ -9,14 +9,15 @@ import (
 	"mcbnet/internal/schedule"
 )
 
-// This file is the checkpointed execution path of the gathered-Columnsort
-// sort: the monolithic pipeline of gatherSort is cut at its phase boundaries
-// into segments, each run as its own engine invocation on a fresh network.
-// Between segments the full distributed state (the gathered columns at the
-// representatives) is host-held, snapshotted into the checkpoint store after
-// multiset verification, and re-injected into the next segment's programs —
-// so a typed failure replays only the failed segment, and a resumed host
-// process continues from the last accepted boundary on disk.
+// This file is the sort's recovery driver, SortWithRetry, and the segmented
+// execution of the gathered Columnsort: the monolithic pipeline of
+// gatherSort is cut at its phase boundaries into segments, each run as its
+// own engine invocation on a fresh network. Between segments the full
+// distributed state (the gathered columns at the representatives) is
+// host-held, multiset-verified and snapshotted, and re-injected into the
+// next segment's programs — so a typed failure replays only the failed
+// segment, and with a checkpoint store a resumed host process continues from
+// the last accepted boundary on disk.
 
 // hostGroups replicates the outcome of the formGroups network protocol as a
 // pure function of the cardinalities and the channel count: the group table
@@ -101,13 +102,14 @@ func (hg *hostGroups) infoFor(id int) *groupInfo {
 	}
 }
 
-// sortSegKind enumerates the segment shapes of the gathered Columnsort.
+// sortSegKind enumerates the segment shapes of a sort.
 type sortSegKind int
 
 const (
 	segCollect      sortSegKind = iota // phase 0: formation + collection
 	segTransform                       // one local sort + one transformation phase
 	segRedistribute                    // final local sort + phase 10
+	segWhole                           // the whole sort as one Sort run
 )
 
 // sortSegment describes one independently startable phase segment.
@@ -119,11 +121,15 @@ type sortSegment struct {
 	sortSkipCol0  bool             // the preceding local sort skips column 0 (paper's phase 7)
 }
 
-// sortSegments builds the segment plan for G columns: collection, one
-// segment per Columnsort transformation phase (each prefixed by its
-// cost-free local sort), and redistribution (prefixed by the final sort).
-// G == 1 degenerates to [collect, redistribute].
-func sortSegments(G int) []sortSegment {
+// sortSegments builds the segment plan of a sort. The gathered Columnsort
+// over G columns runs as collection, one segment per Columnsort
+// transformation phase (each prefixed by its cost-free local sort), and
+// redistribution (prefixed by the final sort); G == 1 degenerates to
+// [collect, redistribute]. Every other algorithm is one whole-run segment.
+func sortSegments(algo Algorithm, G int) []sortSegment {
+	if algo != AlgoColumnsortGather {
+		return []sortSegment{{name: "sort", kind: segWhole}}
+	}
 	segs := []sortSegment{{name: "phase0:collect", kind: segCollect}}
 	if G > 1 {
 		skip := false
@@ -145,13 +151,15 @@ func sortSegments(G int) []sortSegment {
 	return append(segs, sortSegment{name: "phase10:redistribution", kind: segRedistribute})
 }
 
-// runSortSegment executes one segment as its own engine run. state is the
-// snapshot element state entering the segment (per-processor inputs for
-// segCollect, gathered columns otherwise); it is cloned before injection, so
-// a failed run never taints the checkpointed state. It returns the state
-// after the boundary (nil for segRedistribute) and, for segRedistribute, the
-// per-processor sorted outputs in internal element space.
-func runSortSegment(env runEnv, seg sortSegment, state [][]checkpoint.Elem, hg *hostGroups, cfg mcb.Config) (nextState [][]checkpoint.Elem, outs [][]elem, res *mcb.Result, err error) {
+// runSortSegment executes one gathered-Columnsort segment as its own engine
+// run. state is the snapshot element state entering the segment
+// (per-processor inputs for segCollect, gathered columns otherwise); it is
+// cloned before injection, so a failed run never taints the checkpointed
+// state. It returns the state after the boundary (nil for segRedistribute)
+// and, for segRedistribute, the per-processor sorted outputs in the caller's
+// order. st is the run's (possibly partial) cost, nil when the engine could
+// not collect it.
+func runSortSegment(env runEnv, seg sortSegment, state [][]checkpoint.Elem, hg *hostGroups, cfg mcb.Config, negate bool) (nextState [][]checkpoint.Elem, outputs [][]int64, st *mcb.Stats, err error) {
 	p := cfg.P
 	sh := matrix.Shape{M: hg.m, K: hg.G}
 	cols := make([][]cell, p)
@@ -223,18 +231,33 @@ func runSortSegment(env runEnv, seg sortSegment, state [][]checkpoint.Elem, hg *
 			}
 		}
 	}
-	res, err = env.run(cfg, progs)
+	res, err := env.run(cfg, progs)
+	if res != nil {
+		st = &res.Stats
+	}
 	if err != nil {
-		return nil, nil, res, err
+		return nil, nil, st, err
 	}
 	if seg.kind == segRedistribute {
 		// Under a distributed transport only the hosted processors'
 		// outputs were produced locally; gather the rest so every peer's
 		// driver sees the identical final table.
 		if xerr := exchangeSlices(env, "sort:"+seg.name, outElems); xerr != nil {
-			return nil, nil, res, xerr
+			return nil, nil, st, xerr
 		}
-		return nil, outElems, res, nil
+		outputs = make([][]int64, p)
+		for i, l := range outElems {
+			o := make([]int64, len(l))
+			for j, e := range l {
+				if negate {
+					o[j] = -e.V
+				} else {
+					o[j] = e.V
+				}
+			}
+			outputs[i] = o
+		}
+		return nil, outputs, st, nil
 	}
 	nextState = make([][]checkpoint.Elem, p)
 	for i, c := range outCols {
@@ -246,34 +269,38 @@ func runSortSegment(env runEnv, seg sortSegment, state [][]checkpoint.Elem, hg *
 	// complete distributed state, keeping the redundant checkpoint drivers
 	// byte-identical across the group.
 	if xerr := exchangeSlices(env, "sort:"+seg.name, nextState); xerr != nil {
-		return nil, nil, res, xerr
+		return nil, nil, st, xerr
 	}
-	return nextState, nil, res, nil
+	return nextState, nil, st, nil
 }
 
-// sortCheckpointed is the checkpoint/resume driver for the gathered
-// Columnsort: SortWithRetry routes here when opts.Checkpoints is set and the
-// algorithm resolves to AlgoColumnsortGather. It executes the segment plan,
-// saving a verified snapshot at every boundary; a retryable failure resumes
-// from the last accepted boundary (only the failed segment is replayed), a
-// failure attributable to scripted channel outages degrades to k' < k
-// surviving channels (restarting from phase 0 — the column structure depends
-// on k), and a failed final verification falls back to a full restart, since
-// multiset conservation cannot vouch for element positions.
-func sortCheckpointed(inputs [][]int64, opts SortOptions) ([][]int64, *Report, error) {
+// SortWithRetry sorts like Sort, but verifies and recovers. It runs the
+// sort's segment plan (see sortSegments), each segment its own engine run on
+// a fresh network under the attempt's fault plan (mcb.FaultPlan.ForAttempt,
+// shifted to the segment's start): stochastic faults strike elsewhere on a
+// retry, scripted crashes and outages persist. Every phase boundary is
+// multiset-verified and snapshotted — into opts.Checkpoints when set, in
+// memory only otherwise — and a retryable failure resumes from the last
+// accepted boundary, replaying only the failed segment. A failure
+// attributable to scripted channel outages (Retry.DegradeOnOutage) drops the
+// dead channels and restarts from phase 0 on the k' < k survivors (the
+// Columnsort column structure depends on k). The output is accepted only when
+// it passes the verifier (default VerifySort: sortedness, cardinality
+// preservation, multiset-permutation of the input); a rejected output
+// restarts from phase 0, since multiset conservation cannot vouch for element
+// positions. After Retry.MaxAttempts attempts the last error (typed, matching
+// errors.As against the mcb taxonomy) is returned with a partial report.
+func SortWithRetry(inputs [][]int64, opts SortOptions) ([][]int64, *Report, error) {
 	p := len(inputs)
 	algo, err := validateSort(inputs, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if algo != AlgoColumnsortGather {
-		return nil, nil, errNotSegmentable
-	}
 	verifier := opts.Verifier
 	if verifier == nil {
 		verifier = VerifySort
 	}
-	store := opts.Checkpoints
+	store := storeOrNone(opts.Checkpoints)
 	negate := opts.Order == Ascending
 	order := 0
 	if negate {
@@ -339,8 +366,8 @@ func sortCheckpointed(inputs [][]int64, opts SortOptions) ([][]int64, *Report, e
 	}
 
 	hg := computeGroupTable(cards, cs.k())
-	segs := sortSegments(hg.G)
-	hist := newPhaseHistory()
+	segs := sortSegments(algo, hg.G)
+	hist := newPhaseHistory(env)
 	hist.record(snap, &accepted)
 	// Distributed runs align the peer drivers at the start of every attempt
 	// (see resyncPhases); in-process runs skip the exchange entirely.
@@ -352,7 +379,9 @@ func sortCheckpointed(inputs [][]int64, opts SortOptions) ([][]int64, *Report, e
 		rep.Resumes = snap.Resumes
 		rep.ReplayedCycles = snap.ReplayedCycles
 		rep.PhaseCycles = phaseCyclesFrom(accepted.Phases)
-		rep.Columns, rep.ColumnLen = hg.G, hg.m
+		if algo == AlgoColumnsortGather {
+			rep.Columns, rep.ColumnLen = hg.G, hg.m
+		}
 	}
 
 	// restart resets to phase 0 under the current channel state, discarding
@@ -372,21 +401,15 @@ func sortCheckpointed(inputs [][]int64, opts SortOptions) ([][]int64, *Report, e
 		return store.Save(snap)
 	}
 
-	var lastErr error
 	for {
 		if needSync {
 			rs, rerr := resyncPhases(env, "sort", p, snap, hist, &accepted)
 			if rerr != nil {
-				if !mcb.Retryable(rerr) {
+				if !mcb.Retryable(rerr) || snap.Attempt+1 >= maxAtt {
 					finishReport()
 					return nil, rep, rerr
 				}
-				lastErr = rerr
 				snap.Attempt++
-				if snap.Attempt >= maxAtt {
-					finishReport()
-					return nil, rep, lastErr
-				}
 				retryBackoff(pol, snap.Attempt)
 				continue
 			}
@@ -405,15 +428,31 @@ func sortCheckpointed(inputs [][]int64, opts SortOptions) ([][]int64, *Report, e
 		cfg.Faults = plan
 		cfg.MaxCycles = segmentBudget(opts.MaxCycles, snap.CyclesDone)
 
-		nextState, outs, res, err := runSortSegment(env, seg, snap.State, hg, cfg)
-		if err == nil && seg.kind != segRedistribute {
+		var (
+			nextState [][]checkpoint.Elem
+			outputs   [][]int64
+			st        *mcb.Stats
+			err       error
+		)
+		if seg.kind == segWhole {
+			wopts := opts
+			wopts.K, wopts.Faults, wopts.MaxCycles = cfg.K, cfg.Faults, cfg.MaxCycles
+			var wrep *Report
+			if outputs, wrep, err = Sort(inputs, wopts); wrep != nil {
+				st = &wrep.Stats
+				rep.Columns, rep.ColumnLen = wrep.Columns, wrep.ColumnLen
+			}
+		} else {
+			nextState, outputs, st, err = runSortSegment(env, seg, snap.State, hg, cfg, negate)
+		}
+		if err == nil && nextState != nil {
 			// Boundary reached: snapshot, verify, accept.
 			cand := snap.Clone()
 			cand.Phase++
 			cand.PhaseName = seg.name
 			cand.State = nextState
-			cand.CyclesDone += res.Stats.Cycles
-			cand.MessagesDone += res.Stats.Messages
+			cand.CyclesDone += st.Cycles
+			cand.MessagesDone += st.Messages
 			if verr := verifySnapshotMultiset(cand, want, true); verr != nil {
 				err = corruptionError("sort checkpoint", verr)
 			} else {
@@ -421,69 +460,47 @@ func sortCheckpointed(inputs [][]int64, opts SortOptions) ([][]int64, *Report, e
 					return nil, nil, serr
 				}
 				snap = cand
-				accepted.Add(&res.Stats)
+				accepted.Add(st)
 				hist.record(snap, &accepted)
 				continue
 			}
 		}
+		// A rejected final output means the accepted checkpoints may carry
+		// the same silent corruption (multiset conservation does not check
+		// positions): recovery restarts from phase 0.
+		rejected := false
 		if err == nil {
-			// Final segment done: convert and verify the outputs.
-			outputs := make([][]int64, p)
-			for i, l := range outs {
-				o := make([]int64, len(l))
-				for j, e := range l {
-					if negate {
-						o[j] = -e.V
-					} else {
-						o[j] = e.V
-					}
-				}
-				outputs[i] = o
+			verr := verifier(inputs, outputs, opts.Order)
+			if verr == nil {
+				accepted.Add(st)
+				snap.CyclesDone += st.Cycles
+				snap.MessagesDone += st.Messages
+				finishReport()
+				return outputs, rep, nil
 			}
-			if verr := verifier(inputs, outputs, opts.Order); verr != nil {
-				// The accepted checkpoints may carry the same silent
-				// corruption (multiset conservation does not check
-				// positions): fall back to a full restart.
-				err = corruptionError("sort", verr)
-				lastErr = err
-				snap.ReplayedCycles += res.Stats.Cycles
-				snap.Attempt++
-				if snap.Attempt >= maxAtt {
-					finishReport()
-					return nil, rep, lastErr
-				}
-				retryBackoff(pol, snap.Attempt)
-				needSync = true
-				if rerr := restart(); rerr != nil {
-					return nil, nil, rerr
-				}
-				continue
-			}
-			accepted.Add(&res.Stats)
-			snap.CyclesDone += res.Stats.Cycles
-			snap.MessagesDone += res.Stats.Messages
-			finishReport()
-			return outputs, rep, nil
+			err = corruptionError("sort", verr)
+			rejected = true
 		}
 
-		// Segment failed: the cycles it burned are replayed work.
-		lastErr = err
-		if res != nil {
-			snap.ReplayedCycles += res.Stats.Cycles
+		// The failed segment's cycles are replayed work.
+		if st != nil {
+			snap.ReplayedCycles += st.Cycles
 		}
-		if !mcb.Retryable(err) {
+		if !mcb.Retryable(err) || snap.Attempt+1 >= maxAtt {
 			finishReport()
 			return nil, rep, err
 		}
 		snap.Attempt++
-		if snap.Attempt >= maxAtt {
-			finishReport()
-			return nil, rep, lastErr
-		}
 		retryBackoff(pol, snap.Attempt)
 		needSync = true
 
-		if suspects := outageSuspects(pol, plan, res); len(suspects) > 0 && cs.k()-len(suspects) >= 1 {
+		suspects := outageSuspects(pol, plan, st)
+		switch {
+		case rejected:
+			if rerr := restart(); rerr != nil {
+				return nil, nil, rerr
+			}
+		case len(suspects) > 0 && cs.k()-len(suspects) >= 1:
 			// The failure is attributable to scripted channel outages:
 			// drop the dead channels and re-run on the k' survivors. The
 			// Columnsort column structure depends on k, so the degraded
@@ -492,17 +509,16 @@ func sortCheckpointed(inputs [][]int64, opts SortOptions) ([][]int64, *Report, e
 			rep.DegradedK = cs.k()
 			rep.DeadChannels = append([]int(nil), cs.deadOrig...)
 			hg = computeGroupTable(cards, cs.k())
-			segs = sortSegments(hg.G)
+			segs = sortSegments(algo, hg.G)
 			if rerr := restart(); rerr != nil {
 				return nil, nil, rerr
 			}
-			continue
+		default:
+			// Resume from the last accepted boundary: only the failed
+			// segment is replayed.
+			snap.Resumes++
+			rep.CheckpointPhase = snap.PhaseName
 		}
-
-		// Resume from the last accepted boundary: only the failed segment
-		// is replayed.
-		snap.Resumes++
-		rep.CheckpointPhase = snap.PhaseName
 	}
 }
 
@@ -525,12 +541,8 @@ func sortSnapshotUsable(s *checkpoint.Snapshot, algo Algorithm, p, k, order int,
 		return fmt.Errorf("snapshot order %d, run order %d", s.Order, order)
 	case !equalCards(s.Cards, cards):
 		return fmt.Errorf("snapshot cardinalities differ from the inputs")
-	case s.Phase >= len(sortSegments(computeGroupTable(cards, s.K).G)):
+	case s.Phase >= len(sortSegments(algo, computeGroupTable(cards, s.K).G)):
 		return fmt.Errorf("snapshot phase %d out of range", s.Phase)
 	}
 	return verifySnapshotMultiset(s, want, true)
 }
-
-// errNotSegmentable reports that the resolved algorithm has no segmented
-// execution path; SortWithRetry falls back to whole-run attempts.
-var errNotSegmentable = fmt.Errorf("core: algorithm not segmentable")

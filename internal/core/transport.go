@@ -12,7 +12,7 @@ import (
 
 // This file is the algorithm drivers' attachment to the transport seam.
 //
-// Every driver (Sort, Select, the checkpointed segment loops) is itself
+// Every driver (Sort, Select, SortWithRetry and SelectWithRetry) is itself
 // deterministic host code: given the same inputs and options it computes the
 // same segment plan, the same engine configs, the same verification
 // decisions. Under a distributed transport each peer process runs the SAME
@@ -94,21 +94,26 @@ func exchangeSlices[S any](env runEnv, tag string, vals []S) error {
 }
 
 // phaseHistory keeps every boundary snapshot this process has accepted in
-// the current checkpointed run (and the accepted-cost stats at each), keyed
-// by snapshot phase. It exists for one distributed failure mode: a peer
-// process can be killed in the window between a collective segment
-// completing and its local store.Save, leaving its store one boundary
-// behind the survivors'. On rejoin the restarted peer proposes the earlier
-// segment while the survivors propose the later one — a permanent protocol
-// divergence. The resync exchange below detects the skew and rewinds the
-// peers that ran ahead to the group minimum, which the history makes
-// possible without re-reading the store.
+// the current run (and the accepted-cost stats at each), keyed by snapshot
+// phase. It exists for one distributed failure mode: a peer process can be
+// killed in the window between a collective segment completing and its local
+// store.Save, leaving its store one boundary behind the survivors'. On
+// rejoin the restarted peer proposes the earlier segment while the survivors
+// propose the later one — a permanent protocol divergence. The resync
+// exchange below detects the skew and rewinds the peers that ran ahead to the
+// group minimum, which the history makes possible without re-reading the
+// store. An in-process run has one driver and nothing to resync, so it keeps
+// no history: its phaseHistory is nil, and recording into it is a no-op.
 type phaseHistory struct {
 	snaps map[int]*checkpoint.Snapshot
 	stats map[int]mcb.Stats
 }
 
-func newPhaseHistory() *phaseHistory {
+// newPhaseHistory returns the history of a run on env: nil in-process.
+func newPhaseHistory(env runEnv) *phaseHistory {
+	if env.t.InProcess() {
+		return nil
+	}
 	return &phaseHistory{snaps: map[int]*checkpoint.Snapshot{}, stats: map[int]mcb.Stats{}}
 }
 
@@ -117,6 +122,9 @@ func newPhaseHistory() *phaseHistory {
 // fresh Clone); the stats are deep-copied because the caller keeps mutating
 // its accumulator.
 func (h *phaseHistory) record(snap *checkpoint.Snapshot, accepted *mcb.Stats) {
+	if h == nil {
+		return
+	}
 	h.snaps[snap.Phase] = snap
 	var c mcb.Stats
 	c.Add(accepted)
@@ -125,11 +133,14 @@ func (h *phaseHistory) record(snap *checkpoint.Snapshot, accepted *mcb.Stats) {
 
 // reset discards the history (a full restart invalidates every boundary).
 func (h *phaseHistory) reset() {
+	if h == nil {
+		return
+	}
 	h.snaps = map[int]*checkpoint.Snapshot{}
 	h.stats = map[int]mcb.Stats{}
 }
 
-// resyncPhases aligns a distributed checkpointed driver with its peer group
+// resyncPhases aligns a distributed recovery driver with its peer group
 // at the start of an attempt: every peer contributes the phase of the
 // boundary it is about to continue from, and peers that ran ahead of the
 // group minimum rewind to it (replaying the rewound segments, which keeps

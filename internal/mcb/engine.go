@@ -749,7 +749,7 @@ func RunContext(ctx context.Context, cfg Config, programs []func(Node)) (*Result
 		recPhase:   -1,
 	}
 	if e.rec != nil {
-		e.rec.StartRun()
+		e.rec.StartRun(cfg.K)
 	}
 	// resolve clears registers through its touched list instead of sweeping
 	// all K, so the registers must start empty.

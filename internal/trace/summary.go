@@ -1,5 +1,7 @@
 package trace
 
+import "sort"
+
 // Per-phase rollup of a captured trace: the channel-utilization /
 // collision / silence timeline the paper's round-complexity arguments are
 // made of, computed purely from recorded events so it works on re-parsed
@@ -9,6 +11,9 @@ package trace
 // in first-event order; events recorded before any phase marker are grouped
 // under the empty name.
 type PhaseSummary struct {
+	// Run is the index of the engine run the row summarizes (see
+	// Recorder.StartRun); 0 for a single run.
+	Run   int    `json:"run"`
 	Phase string `json:"phase"`
 	// FirstCycle and LastCycle bound the phase's cycle range as observed in
 	// the trace (ring overwrites may clip the front of early phases).
@@ -103,7 +108,29 @@ func Summarize(events []Event, phases []string, k int) []PhaseSummary {
 	return out
 }
 
-// Summaries rolls the recorder's retained events up per phase.
+// Summaries rolls the recorder's retained events up per phase, separately
+// for each engine run (see StartRun): each row carries its run's index, and
+// its per-channel counts and utilization use that run's channel count. A
+// recorder on which no run was started summarizes as one run on Channels.
 func (r *Recorder) Summaries() []PhaseSummary {
-	return Summarize(r.Events(), r.phases, r.channels)
+	events := r.Events()
+	runs := r.runs
+	if len(runs) == 0 {
+		runs = []run{{k: r.channels}}
+	}
+	var out []PhaseSummary
+	lo := 0
+	for i, rn := range runs {
+		hi := len(events)
+		if i+1 < len(runs) {
+			next := runs[i+1].start
+			hi = lo + sort.Search(len(events)-lo, func(j int) bool { return events[lo+j].Cycle >= next })
+		}
+		for _, s := range Summarize(events[lo:hi], r.phases, rn.k) {
+			s.Run = i
+			out = append(out, s)
+		}
+		lo = hi
+	}
+	return out
 }

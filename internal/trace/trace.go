@@ -147,6 +147,15 @@ type Recorder struct {
 	// base is added to every recorded cycle, and end is one past the
 	// highest cycle recorded so far; StartRun moves base to end.
 	base, end int64
+	// runs lists the engine runs started on the recorder, in run order.
+	runs []run
+}
+
+// run is one engine run's place in the recorder: its first (shifted) cycle
+// and the channel count of its network.
+type run struct {
+	start int64
+	k     int
 }
 
 // New returns a Recorder for a network of procs processors and channels
@@ -198,12 +207,14 @@ func (r *Recorder) Phases() []string {
 	return append([]string(nil), r.phases...)
 }
 
-// StartRun begins an engine run, whose cycles count from 0: they are
-// recorded after every cycle recorded so far. Runs that share a recorder
-// (retry attempts, the segments of a checkpointed run) so occupy
-// consecutive cycle ranges in run order. The engine calls it once per run.
-func (r *Recorder) StartRun() {
+// StartRun begins an engine run on k channels, whose cycles count from 0:
+// they are recorded after every cycle recorded so far. Runs that share a
+// recorder (retry attempts, the segments of a recovered run) so occupy
+// consecutive cycle ranges in run order; a run whose channels were degraded
+// may have k below Channels. The engine calls it once per run.
+func (r *Recorder) StartRun(k int) {
 	r.base = r.end
+	r.runs = append(r.runs, run{start: r.base, k: k})
 }
 
 // Record appends one event to the ring of e.Proc, its cycle shifted past
@@ -239,7 +250,7 @@ func (r *Recorder) Dropped() int64 {
 	return n
 }
 
-// Reset clears all rings, the phase table and the run offset so the
+// Reset clears all rings, the phase table and the runs so the
 // recorder can be reused for an unrelated run. The buffers themselves are
 // retained.
 func (r *Recorder) Reset() {
@@ -247,6 +258,7 @@ func (r *Recorder) Reset() {
 		r.rings[i].n = 0
 	}
 	r.base, r.end = 0, 0
+	r.runs = r.runs[:0]
 	r.phases = r.phases[:0]
 	for k := range r.phaseIdx {
 		delete(r.phaseIdx, k)

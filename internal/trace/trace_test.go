@@ -173,3 +173,26 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("sort summary wrong: %+v", sortS)
 	}
 }
+
+// TestSummariesPerRun: two runs on different channel counts that share a
+// phase name summarize as one row each, every row on its own run's channels.
+func TestSummariesPerRun(t *testing.T) {
+	r := New(2, 4, 64)
+	work := r.PhaseID("work")
+	r.StartRun(4)
+	r.Record(Event{Cycle: 0, Proc: 0, Ch: 3, Phase: work, Arg: 1, Kind: KindWrite})
+	r.Record(Event{Cycle: 1, Proc: 1, Ch: 2, Phase: work, Arg: 2, Kind: KindWrite})
+	r.StartRun(3) // a degraded retry: channels renumbered into [0, 3)
+	r.Record(Event{Cycle: 0, Proc: 0, Ch: 2, Phase: work, Arg: 3, Kind: KindWrite})
+	r.Record(Event{Cycle: 0, Proc: 1, Ch: 2, Phase: work, Arg: 3, Kind: KindRead})
+
+	want := []PhaseSummary{
+		{Run: 0, Phase: "work", FirstCycle: 0, LastCycle: 1, Cycles: 2, Writes: 2,
+			PerChannel: []int64{0, 0, 1, 1}, Utilization: 2.0 / (2 * 4)},
+		{Run: 1, Phase: "work", FirstCycle: 2, LastCycle: 2, Cycles: 1, Writes: 1, Reads: 1,
+			PerChannel: []int64{0, 0, 1}, Utilization: 1.0 / 3},
+	}
+	if got := r.Summaries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("per-run summaries:\ngot  %+v\nwant %+v", got, want)
+	}
+}

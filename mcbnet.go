@@ -123,13 +123,13 @@ type (
 // against it.
 var ErrAborted = mcb.ErrAborted
 
-// Checkpointed recovery: with SortOptions.Checkpoints /
-// SelectOptions.Checkpoints set, SortWithRetry and SelectWithRetry run the
-// algorithms as phase segments, snapshotting the verified distributed state
-// into the store at every phase boundary. A typed failure then resumes from
-// the last accepted checkpoint (replaying only the failed segment), and with
-// Resume set a new process continues a previous run from an on-disk store —
-// see DESIGN.md §4 and the cmd/mcbsort -checkpoint-dir / -resume flags.
+// Checkpointed recovery: SortWithRetry and SelectWithRetry run the
+// algorithms as phase segments and resume a typed failure from the last
+// accepted, verified phase boundary (replaying only the failed segment).
+// With SortOptions.Checkpoints / SelectOptions.Checkpoints set, every
+// accepted boundary is also saved to the store, and with Resume set a new
+// process continues a previous run from an on-disk store — see DESIGN.md §4
+// and the cmd/mcbsort -checkpoint-dir / -resume flags.
 type (
 	// CheckpointStore persists phase-boundary snapshots; implementations
 	// must return isolated, checksum-verified copies.
@@ -201,16 +201,16 @@ func MultiSelect(inputs [][]int64, ds []int, opts SelectOptions) ([]int64, *Sele
 	return core.MultiSelect(inputs, ds, opts)
 }
 
-// SortWithRetry sorts like Sort but re-executes faulted runs under
-// opts.Retry: an attempt is accepted only when the engine reports no error
-// and the output passes verification (sortedness, cardinality preservation,
-// multiset-permutation of the input — or opts.Verifier). See
-// core.SortWithRetry.
+// SortWithRetry sorts like Sort but recovers from faults under opts.Retry: a
+// failed phase segment is re-executed from the last verified phase boundary,
+// and the output is accepted only when it passes verification (sortedness,
+// cardinality preservation, multiset-permutation of the input — or
+// opts.Verifier). See core.SortWithRetry.
 func SortWithRetry(inputs [][]int64, opts SortOptions) ([][]int64, *Report, error) {
 	return core.SortWithRetry(inputs, opts)
 }
 
-// SelectWithRetry selects like Select but re-executes faulted runs and
+// SelectWithRetry selects like Select but re-executes faulted segments and
 // verifies the answer by recount; with opts.Retry.DegradeOnCrash it degrades
 // gracefully after processor crash-stops (the dead processors' elements are
 // given up). See core.SelectWithRetry.
