@@ -18,12 +18,14 @@
 // continues after processor crash-stops with the dead processors' elements
 // given up (rank -d is then taken over the survivors).
 //
-// Recovery runs the filtering selection as per-iteration segments with
-// verified phase-boundary snapshots, and failures resume from the last
-// accepted one; -checkpoint-dir also saves the snapshots into the directory,
-// and -resume continues a previous (killed or failed) run from it. -outage ch:from[:to] scripts a
-// channel outage and -degrade-outage finishes on the k' < k surviving
-// channels when the failure is attributable to scripted outages.
+// With -retries above 1 or a -checkpoint-dir, recovery runs the filtering
+// selection as per-iteration segments with verified phase-boundary snapshots,
+// and failures resume from the last accepted one; -checkpoint-dir also saves
+// the snapshots into the directory, and -resume continues a previous (killed
+// or failed) run from it. -outage ch:from[:to] scripts a channel outage and
+// -degrade-outage finishes on the k' < k surviving channels when the failure
+// is attributable to scripted outages; the report's per-channel counts keep
+// the numbering of the -k channels.
 package main
 
 import (
@@ -54,7 +56,7 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 1, "fault-injection seed (independent of the workload seed)")
 	retries := flag.Int("retries", 1, "max verify-and-retry attempts (1 = single unverified run)")
 	degrade := flag.Bool("degrade", false, "continue after processor crashes with the dead processors' elements given up")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for phase-boundary snapshots (enables checkpointed recovery)")
+	checkpointDir := flag.String("checkpoint-dir", "", "directory to save phase-boundary snapshots in, for -resume")
 	resume := flag.Bool("resume", false, "continue from a compatible snapshot in -checkpoint-dir, if one exists")
 	outageSpec := flag.String("outage", "", "scripted channel outage ch:from[:to] (to omitted = permanent)")
 	degradeOutage := flag.Bool("degrade-outage", false, "drop outage-stricken channels and finish on the survivors (k' < k)")

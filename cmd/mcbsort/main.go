@@ -21,16 +21,17 @@
 // over the ~n deliveries of a sort, so recovery demos want small n, e.g.
 // mcbsort -n 64 -p 8 -k 4 -fault-rate 0.01 -retries 8.
 //
-// Recovery runs the sort as phase segments, and a typed failure resumes from
-// the last verified phase-boundary snapshot instead of restarting from
-// cycle 0. -checkpoint-dir also saves every accepted snapshot into the
-// directory, so that a later process can continue the run. With -resume, a new
-// invocation first looks for a compatible snapshot in the directory and
-// continues a previous (killed or failed) run from it. -outage ch:from[:to]
-// scripts a channel outage (to omitted = permanent) and -degrade-outage lets
-// the retry layer drop outage-stricken channels and finish on the k' < k
-// survivors; the report then carries resumes, replayed cycles and the
-// degraded channel set.
+// With -retries above 1 or a -checkpoint-dir, recovery runs the sort as phase
+// segments, and a typed failure resumes from the last verified phase-boundary
+// snapshot instead of restarting from cycle 0. -checkpoint-dir also saves
+// every accepted snapshot into the directory, so that a later process can
+// continue the run. With -resume, a new invocation first looks for a
+// compatible snapshot in the directory and continues a previous (killed or
+// failed) run from it. -outage ch:from[:to] scripts a channel outage (to
+// omitted = permanent) and -degrade-outage lets the retry layer drop
+// outage-stricken channels and finish on the k' < k survivors; the report
+// then carries resumes, replayed cycles and the degraded channel set, and its
+// per-channel counts keep the numbering of the -k channels.
 package main
 
 import (
@@ -60,7 +61,7 @@ func main() {
 	faultRate := flag.Float64("fault-rate", 0, "per-delivery drop and corruption probability (0 = no fault injection)")
 	faultSeed := flag.Uint64("fault-seed", 1, "fault-injection seed (independent of the workload seed)")
 	retries := flag.Int("retries", 1, "max verify-and-retry attempts (1 = single unverified run)")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for phase-boundary snapshots (enables checkpointed recovery)")
+	checkpointDir := flag.String("checkpoint-dir", "", "directory to save phase-boundary snapshots in, for -resume")
 	resume := flag.Bool("resume", false, "continue from a compatible snapshot in -checkpoint-dir, if one exists")
 	outageSpec := flag.String("outage", "", "scripted channel outage ch:from[:to] (to omitted = permanent)")
 	degradeOutage := flag.Bool("degrade-outage", false, "drop outage-stricken channels and finish on the survivors (k' < k)")

@@ -101,9 +101,10 @@ type SortOptions struct {
 	Verifier SortVerifier
 	// Checkpoints, when non-nil, is where SortWithRetry saves every phase
 	// boundary it accepts (after multiset verification), so that Resume can
-	// continue the run in a later process. It does not change the recovery
-	// itself: without a store the driver keeps its last accepted boundary in
-	// memory and resumes from it all the same. Plain Sort ignores it.
+	// continue the run in a later process. Without a store the driver keeps
+	// its last accepted boundary in memory and a retry resumes from it all
+	// the same; only a run of one attempt without a store, which nothing
+	// could resume, runs as one segment. Plain Sort ignores it.
 	Checkpoints checkpoint.Store
 	// Resume makes SortWithRetry first consult Checkpoints.Latest() and, if
 	// a compatible snapshot for these inputs exists (same shape, same

@@ -22,6 +22,15 @@ func retryAttempts(pol mcb.RetryPolicy) int {
 	return pol.MaxAttempts
 }
 
+// resumable reports whether a run's phase boundaries can be resumed from: by
+// a later attempt (more than one is allowed) or by a later process (a store
+// is set). A run that can do neither executes its algorithm as one segment,
+// since a boundary would buy nothing for its extra engine run and, under a
+// distributed transport, its state exchange.
+func resumable(maxAtt int, store checkpoint.Store) bool {
+	return maxAtt > 1 || store != nil
+}
+
 // retryBackoff sleeps before retry attempt a (1-based attempt index of the
 // upcoming attempt). The schedule — capped exponential doubling with the
 // policy's deterministic seeded jitter — is mcb.RetryPolicy.BackoffFor, the

@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"mcbnet/internal/checkpoint"
+	"mcbnet/internal/dist"
 	"mcbnet/internal/mcb"
 	"mcbnet/internal/seq"
 )
@@ -180,6 +183,102 @@ func TestSelectWithRetryWithoutDegradeCrashFails(t *testing.T) {
 		}
 		if rep == nil || rep.Attempts != 2 {
 			t.Fatalf("store %v: report = %+v, want 2 exhausted attempts", store != nil, rep)
+		}
+	}
+}
+
+// TestDegradedRunCountsOriginalChannels: a run that loses channel 1 at cycle
+// 40 and finishes on the k' = 3 survivors reports its per-channel counts in
+// the caller's k = 4 numbering, with or without a checkpoint store. The sort
+// restarts from phase 0 on the survivors, so every count is a fault-free
+// k = 3 sort's, spread over channels 0, 2 and 3. The selection resumes from
+// its init boundary, accepted on k = 4, and runs every filtering iteration on
+// the survivors: its init phases are a fault-free k = 4 selection's, every
+// later phase a fault-free k = 3 selection's spread over the survivors, and
+// the dead channel carries nothing after the outage.
+func TestDegradedRunCountsOriginalChannels(t *testing.T) {
+	const p, k, n, from = 8, 4, 64, 40
+	survivors := []int{0, 2, 3}
+	spread := func(v []int64) []int64 {
+		if v == nil {
+			return nil
+		}
+		out := make([]int64, k)
+		for c, x := range v {
+			out[survivors[c]] = x
+		}
+		return out
+	}
+	inputs := dist.Values(dist.NewRNG(1), dist.NearlyEven(n, p))
+	d := (n + 1) / 2
+	retry := mcb.RetryPolicy{MaxAttempts: 4, DegradeOnOutage: true}
+	checkDegraded := func(what string, rec mcb.Recovery) {
+		t.Helper()
+		if rec.DegradedK != k-1 || !reflect.DeepEqual(rec.DeadChannels, []int{1}) {
+			t.Fatalf("%s: degraded to k'=%d losing %v, want k'=3 losing [1]", what, rec.DegradedK, rec.DeadChannels)
+		}
+	}
+
+	_, sortRef, err := Sort(inputs, SortOptions{K: k - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, selRef4, err := Select(inputs, SelectOptions{K: k, D: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, selRef3, err := Select(inputs, SelectOptions{K: k - 1, D: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, store := range []checkpoint.Store{nil, checkpoint.NewMem()} {
+		_, rep, err := SortWithRetry(inputs, SortOptions{
+			K: k, MaxCycles: 1 << 20, Faults: permanentOutage(1, from), Retry: retry, Checkpoints: store,
+		})
+		if err != nil {
+			t.Fatalf("sort (store %v): %v", store != nil, err)
+		}
+		checkDegraded("sort", rep.Recovery)
+		if got, want := rep.Stats.PerChannel, spread(sortRef.Stats.PerChannel); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sort (store %v): per-channel %v, want %v", store != nil, got, want)
+		}
+		for _, ph := range rep.Stats.Phases {
+			ref := sortRef.Stats.PhaseByName(ph.Name)
+			if ref == nil || !reflect.DeepEqual(ph.PerChannel, spread(ref.PerChannel)) {
+				t.Fatalf("sort (store %v): phase %s per-channel %v, reference %+v", store != nil, ph.Name, ph.PerChannel, ref)
+			}
+		}
+
+		_, srep, err := SelectWithRetry(inputs, SelectOptions{
+			K: k, D: d, MaxCycles: 1 << 20, Faults: permanentOutage(1, from), Retry: retry, Checkpoints: store,
+		})
+		if err != nil {
+			t.Fatalf("select (store %v): %v", store != nil, err)
+		}
+		checkDegraded("select", srep.Recovery)
+		if srep.Resumes == 0 || srep.CheckpointPhase != "select:init" {
+			t.Fatalf("select (store %v): resumed %d times from %q, want a resume from select:init", store != nil, srep.Resumes, srep.CheckpointPhase)
+		}
+		want := make([]int64, k)
+		for _, ph := range srep.Stats.Phases {
+			var wantPh []int64
+			if strings.HasPrefix(ph.Name, "select:init") {
+				wantPh = selRef4.Stats.PhaseByName(ph.Name).PerChannel
+			} else if ref := selRef3.Stats.PhaseByName(ph.Name); ref != nil {
+				wantPh = spread(ref.PerChannel)
+			} else {
+				t.Fatalf("select (store %v): phase %s missing from the k=3 reference", store != nil, ph.Name)
+			}
+			if !reflect.DeepEqual(ph.PerChannel, wantPh) {
+				t.Fatalf("select (store %v): phase %s per-channel %v, want %v", store != nil, ph.Name, ph.PerChannel, wantPh)
+			}
+			for c, x := range wantPh {
+				want[c] += x
+			}
+		}
+		if got := srep.Stats.PerChannel; !reflect.DeepEqual(got, want) {
+			t.Fatalf("select (store %v): per-channel %v, want %v", store != nil, got, want)
 		}
 	}
 }

@@ -241,6 +241,40 @@ func (cs *chanState) restoreDead(deadOrig []int64) bool {
 	return cs.degrade(cur)
 }
 
+// toOrig renumbers a segment's per-channel counts (the run's, each phase's
+// and the outage losses') from the current dense channel space into the
+// caller's channel numbering, so the segments run before and after a
+// degradation add up per channel: a dropped channel keeps what it carried
+// before, and a survivor's counts land on its own index. Returns st itself
+// while no channel has been dropped.
+func (cs *chanState) toOrig(st *mcb.Stats) *mcb.Stats {
+	if len(cs.deadOrig) == 0 {
+		return st
+	}
+	out := *st
+	out.PerChannel = cs.origVec(st.PerChannel)
+	out.Faults.OutagePerChannel = cs.origVec(st.Faults.OutagePerChannel)
+	out.Phases = make([]mcb.PhaseStats, len(st.Phases))
+	for i, ph := range st.Phases {
+		ph.PerChannel = cs.origVec(ph.PerChannel)
+		out.Phases[i] = ph
+	}
+	return &out
+}
+
+// origVec spreads a current-space channel vector over the original k
+// channels (nil stays nil).
+func (cs *chanState) origVec(v []int64) []int64 {
+	if v == nil {
+		return nil
+	}
+	out := make([]int64, cs.origK)
+	for c, n := range v {
+		out[cs.survivors[c]] = n
+	}
+	return out
+}
+
 // deadAux renders the dead-channel list for Snapshot.Aux.
 func (cs *chanState) deadAux() []int64 {
 	if len(cs.deadOrig) == 0 {

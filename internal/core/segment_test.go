@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"mcbnet/internal/checkpoint"
 	"mcbnet/internal/dist"
 	"mcbnet/internal/mcb"
+	"mcbnet/internal/transport"
 )
 
 // Tests of the segmented (checkpointed) execution paths: the host-side group
@@ -68,10 +70,12 @@ func TestComputeGroupTableMatchesProtocol(t *testing.T) {
 
 // TestCheckpointedSortMatchesPlain runs SortWithRetry without faults
 // against the monolithic Sort for every algorithm, across shapes (including
-// the single-column degenerate) and both orders, once with a checkpoint
-// store and once without. The Reports must be identical apart from the
-// single attempt recorded in Recovery — segmentation moves phase boundaries,
-// not traffic — and the store must hold a snapshot at every phase boundary.
+// the single-column degenerate) and both orders, in each recovery variant:
+// with a checkpoint store, with boundaries held in memory (a retry budget,
+// no store), and as one segment (one attempt, no store). The Reports must be
+// identical apart from the single attempt recorded in Recovery —
+// segmentation moves phase boundaries, not traffic — and the store must hold
+// a snapshot at every phase boundary.
 func TestCheckpointedSortMatchesPlain(t *testing.T) {
 	r := rand.New(rand.NewSource(0x5E65))
 	algos := append([]Algorithm{AlgoAuto, AlgoColumnsortRecursive}, sortAlgos...)
@@ -101,20 +105,22 @@ func TestCheckpointedSortMatchesPlain(t *testing.T) {
 			}
 			wantRep.Recovery = mcb.Recovery{Attempts: 1}
 
-			for _, store := range []*checkpoint.MemStore{checkpoint.NewMem(), nil} {
+			for _, v := range recoveryVariants() {
+				store := v.store
 				copts := opts
+				copts.Retry.MaxAttempts = v.attempts
 				if store != nil {
 					copts.Checkpoints = store
 				}
 				got, rep, err := SortWithRetry(in, copts)
 				if err != nil {
-					t.Fatalf("trial %d %v (store %v): sort failed: %v", trial, algo, store != nil, err)
+					t.Fatalf("trial %d %v (store %v, %d attempts): sort failed: %v", trial, algo, store != nil, v.attempts, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d %v (p=%d k=%d, store %v): outputs differ\nplain: %v\nretry: %v", trial, algo, p, k, store != nil, want, got)
+					t.Fatalf("trial %d %v (p=%d k=%d, store %v, %d attempts): outputs differ\nplain: %v\nretry: %v", trial, algo, p, k, store != nil, v.attempts, want, got)
 				}
 				if !reflect.DeepEqual(rep, wantRep) {
-					t.Fatalf("trial %d %v (p=%d k=%d, store %v): reports differ\nplain: %+v\nretry: %+v", trial, algo, p, k, store != nil, wantRep, rep)
+					t.Fatalf("trial %d %v (p=%d k=%d, store %v, %d attempts): reports differ\nplain: %+v\nretry: %+v", trial, algo, p, k, store != nil, v.attempts, wantRep, rep)
 				}
 				if store == nil {
 					continue
@@ -127,6 +133,20 @@ func TestCheckpointedSortMatchesPlain(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recoveryVariant is one way a fault-free run can go through the recovery
+// drivers: a checkpoint store (nil for none) and a retry budget.
+type recoveryVariant struct {
+	store    *checkpoint.MemStore
+	attempts int
+}
+
+// recoveryVariants returns, with a fresh store: segmented with a store,
+// segmented in memory (a retry budget, no store), and one segment (one
+// attempt, no store).
+func recoveryVariants() []recoveryVariant {
+	return []recoveryVariant{{checkpoint.NewMem(), 1}, {nil, 2}, {nil, 1}}
 }
 
 // TestCheckpointedSelectMatchesPlain mirrors the sort equivalence test for
@@ -147,22 +167,69 @@ func TestCheckpointedSelectMatchesPlain(t *testing.T) {
 			}
 			wantRep.Recovery = mcb.Recovery{Attempts: 1}
 
-			for _, store := range []*checkpoint.MemStore{checkpoint.NewMem(), nil} {
+			for _, v := range recoveryVariants() {
+				store := v.store
 				copts := opts
+				copts.Retry.MaxAttempts = v.attempts
 				if store != nil {
 					copts.Checkpoints = store
 				}
 				got, rep, err := SelectWithRetry(inputs, copts)
 				if err != nil {
-					t.Fatalf("trial %d %v (store %v): select failed: %v", trial, algo, store != nil, err)
+					t.Fatalf("trial %d %v (store %v, %d attempts): select failed: %v", trial, algo, store != nil, v.attempts, err)
 				}
 				if got != want {
-					t.Fatalf("trial %d %v (p=%d k=%d d=%d, store %v): plain %d, retry %d", trial, algo, p, k, d, store != nil, want, got)
+					t.Fatalf("trial %d %v (p=%d k=%d d=%d, store %v, %d attempts): plain %d, retry %d", trial, algo, p, k, d, store != nil, v.attempts, want, got)
 				}
 				if !reflect.DeepEqual(rep, wantRep) {
-					t.Fatalf("trial %d %v (p=%d k=%d d=%d, store %v): reports differ\nplain: %+v\nretry: %+v", trial, algo, p, k, d, store != nil, wantRep, rep)
+					t.Fatalf("trial %d %v (p=%d k=%d d=%d, store %v, %d attempts): reports differ\nplain: %+v\nretry: %+v", trial, algo, p, k, d, store != nil, v.attempts, wantRep, rep)
 				}
 			}
+		}
+	}
+}
+
+// runCounter is the in-process transport, counting engine runs.
+type runCounter struct {
+	transport.Local
+	runs int
+}
+
+func (c *runCounter) Run(ctx context.Context, cfg mcb.Config, progs []func(mcb.Node)) (*mcb.Result, error) {
+	c.runs++
+	return c.Local.Run(ctx, cfg, progs)
+}
+
+// TestRecoveryPlanIsSegmentedOnlyWhenResumable counts the engine runs of a
+// fault-free gathered sort and filtering selection: with a retry budget or a
+// store they run one engine run per segment, while one attempt without a
+// store, which no boundary could ever be resumed in, runs as one engine run.
+func TestRecoveryPlanIsSegmentedOnlyWhenResumable(t *testing.T) {
+	inputs := chaosInputs(rand.New(rand.NewSource(0x5E6)), 8, 256)
+	for _, v := range recoveryVariants() {
+		sortRuns, selRuns := &runCounter{}, &runCounter{}
+		sopts := SortOptions{K: 3, Algorithm: AlgoColumnsortGather, Transport: sortRuns}
+		sopts.Retry.MaxAttempts = v.attempts
+		lopts := SelectOptions{K: 3, D: 100, Transport: selRuns}
+		lopts.Retry.MaxAttempts = v.attempts
+		if v.store != nil {
+			sopts.Checkpoints, lopts.Checkpoints = v.store, checkpoint.NewMem()
+		}
+		_, rep, err := SortWithRetry(inputs, sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, srep, err := SelectWithRetry(inputs, lopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSort, wantSel := len(sortSegments(rep.Algorithm, rep.Columns)), 2+srep.FilterPhases
+		if v.store == nil && v.attempts == 1 {
+			wantSort, wantSel = 1, 1
+		}
+		if sortRuns.runs != wantSort || selRuns.runs != wantSel {
+			t.Fatalf("store %v, %d attempts: %d sort and %d select engine runs, want %d and %d",
+				v.store != nil, v.attempts, sortRuns.runs, selRuns.runs, wantSort, wantSel)
 		}
 	}
 }

@@ -164,13 +164,15 @@ func selectSnapshotUsable(s *checkpoint.Snapshot, algo SelectAlgorithm, p, k, or
 // SelectWithRetry selects like Select, but verifies and recovers, with the
 // structure of SortWithRetry: the filtering algorithm runs as per-iteration
 // segments with verified boundary snapshots (into opts.Checkpoints when set,
-// in memory only otherwise), the sort baseline as one whole-run segment, and
-// a retryable failure resumes from the last accepted boundary. Every answer
-// is verified by recount (default VerifySelect); a rejected answer or a
-// corrupt boundary restarts from phase 0. With Retry.DegradeOnOutage set, an
-// outage-attributable failure drops the dead channels and resumes from the
-// same boundary on the survivors (candidate state is k-agnostic; only the
-// threshold m* is recomputed). With Retry.DegradeOnCrash set, a CrashError
+// in memory only otherwise), the sort baseline — and any run that is not
+// resumable — as one whole-run segment, and a retryable failure resumes from
+// the last accepted boundary. Every answer is verified by recount (default
+// VerifySelect); a rejected answer or a corrupt boundary restarts from
+// phase 0. With Retry.DegradeOnOutage set, an outage-attributable failure
+// drops the dead channels and resumes from the same boundary on the
+// survivors (candidate state is k-agnostic; only the threshold m* is
+// recomputed), and the counts of the segments before and after add up in
+// the caller's channel numbering. With Retry.DegradeOnCrash set, a CrashError
 // restarts with the crashed processors treated as empty — the protocols are
 // silence-tolerant, so the computation proceeds without them and answers
 // rank opts.D over the surviving elements; the report lists the processors
@@ -190,16 +192,25 @@ func SelectWithRetry(inputs [][]int64, opts SelectOptions) (int64, *SelectReport
 	env := opts.runEnv()
 
 	cs := newChanState(opts.K, opts.Faults)
+	segmented := opts.Algorithm == SelFiltering && resumable(maxAtt, opts.Checkpoints)
 	cur := inputs
 	cards := cardsOf(cur)
-	elems := inputElems(cur, false)
-	want := elemCounts(elems)
+	// The boundary state is read only by a multi-segment plan or a store.
+	keepState := segmented || opts.Checkpoints != nil
+	var (
+		elems [][]elem
+		want  map[elemKey]int
+	)
+	if keepState {
+		elems = inputElems(cur, false)
+		want = elemCounts(elems)
+	}
 	var deadProcs []int
 
 	freshSnap := func() *checkpoint.Snapshot {
 		s := &checkpoint.Snapshot{
 			Kind: "select", Algo: opts.Algorithm.String(), P: p, K: cs.k(),
-			D: opts.D, M: multisetTotal(want),
+			D: opts.D, M: sumInts(cards),
 			Cards: append([]int(nil), cards...),
 			Aux:   append([]int64{int64(opts.D)}, cs.deadAux()...),
 			State: make([][]checkpoint.Elem, p),
@@ -286,7 +297,7 @@ func SelectWithRetry(inputs [][]int64, opts SelectOptions) (int64, *SelectReport
 			return err
 		}
 		snap = cand
-		accepted.Add(st)
+		accepted.Add(cs.toOrig(st))
 		hist.record(snap, &accepted)
 		return nil
 	}
@@ -322,7 +333,7 @@ func SelectWithRetry(inputs [][]int64, opts SelectOptions) (int64, *SelectReport
 			name string
 		)
 		switch {
-		case opts.Algorithm != SelFiltering:
+		case !segmented:
 			kind = selWhole
 		case snap.Phase == 0:
 			kind, name = selInit, "select:init"
@@ -358,7 +369,7 @@ func SelectWithRetry(inputs [][]int64, opts SelectOptions) (int64, *SelectReport
 					err = corruptionError("select", verr)
 					break
 				}
-				accepted.Add(st)
+				accepted.Add(cs.toOrig(st))
 				snap.CyclesDone += st.Cycles
 				snap.MessagesDone += st.Messages
 				finishReport()
@@ -402,9 +413,11 @@ func SelectWithRetry(inputs [][]int64, opts SelectOptions) (int64, *SelectReport
 			deadProcs = mergeProcs(deadProcs, crash.Procs)
 			cs.curPlan = cs.curPlan.WithoutCrashes(crash.Procs)
 			cards = cardsOf(cur)
-			elems = inputElems(cur, false)
-			want = elemCounts(elems)
-			if remaining := multisetTotal(want); opts.D > remaining {
+			if keepState {
+				elems = inputElems(cur, false)
+				want = elemCounts(elems)
+			}
+			if remaining := sumInts(cards); opts.D > remaining {
 				finishReport()
 				return 0, rep, fmt.Errorf("core: graceful degradation lost too many elements: rank %d > %d survivors: %w", opts.D, remaining, err)
 			}
@@ -435,10 +448,10 @@ func SelectWithRetry(inputs [][]int64, opts SelectOptions) (int64, *SelectReport
 	}
 }
 
-// multisetTotal sums a multiset's counts.
-func multisetTotal(want map[elemKey]int) int {
+// sumInts sums a list of counts.
+func sumInts(a []int) int {
 	n := 0
-	for _, c := range want {
+	for _, c := range a {
 		n += c
 	}
 	return n

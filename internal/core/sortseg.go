@@ -121,6 +121,9 @@ type sortSegment struct {
 	sortSkipCol0  bool             // the preceding local sort skips column 0 (paper's phase 7)
 }
 
+// wholeSort is the one-segment plan: the whole sort as one Sort run.
+var wholeSort = []sortSegment{{name: "sort", kind: segWhole}}
+
 // sortSegments builds the segment plan of a sort. The gathered Columnsort
 // over G columns runs as collection, one segment per Columnsort
 // transformation phase (each prefixed by its cost-free local sort), and
@@ -128,7 +131,7 @@ type sortSegment struct {
 // [collect, redistribute]. Every other algorithm is one whole-run segment.
 func sortSegments(algo Algorithm, G int) []sortSegment {
 	if algo != AlgoColumnsortGather {
-		return []sortSegment{{name: "sort", kind: segWhole}}
+		return wholeSort
 	}
 	segs := []sortSegment{{name: "phase0:collect", kind: segCollect}}
 	if G > 1 {
@@ -275,16 +278,18 @@ func runSortSegment(env runEnv, seg sortSegment, state [][]checkpoint.Elem, hg *
 }
 
 // SortWithRetry sorts like Sort, but verifies and recovers. It runs the
-// sort's segment plan (see sortSegments), each segment its own engine run on
-// a fresh network under the attempt's fault plan (mcb.FaultPlan.ForAttempt,
-// shifted to the segment's start): stochastic faults strike elsewhere on a
-// retry, scripted crashes and outages persist. Every phase boundary is
-// multiset-verified and snapshotted — into opts.Checkpoints when set, in
-// memory only otherwise — and a retryable failure resumes from the last
-// accepted boundary, replaying only the failed segment. A failure
-// attributable to scripted channel outages (Retry.DegradeOnOutage) drops the
-// dead channels and restarts from phase 0 on the k' < k survivors (the
-// Columnsort column structure depends on k). The output is accepted only when
+// sort's segment plan (see sortSegments; one segment when the run is not
+// resumable), each segment its own engine run on a fresh network under the
+// attempt's fault plan (mcb.FaultPlan.ForAttempt, shifted to the segment's
+// start): stochastic faults strike elsewhere on a retry, scripted crashes and
+// outages persist. Every phase boundary is multiset-verified and
+// snapshotted — into opts.Checkpoints when set, in memory only otherwise —
+// and a retryable failure resumes from the last accepted boundary, replaying
+// only the failed segment. A failure attributable to scripted channel
+// outages (Retry.DegradeOnOutage) drops the dead channels and restarts from
+// phase 0 on the k' < k survivors (the Columnsort column structure depends on
+// k); the report's per-channel counts stay in the caller's channel
+// numbering. The output is accepted only when
 // it passes the verifier (default VerifySort: sortedness, cardinality
 // preservation, multiset-permutation of the input); a rejected output
 // restarts from phase 0, since multiset conservation cannot vouch for element
@@ -307,13 +312,21 @@ func SortWithRetry(inputs [][]int64, opts SortOptions) ([][]int64, *Report, erro
 		order = 1
 	}
 	cards := cardsOf(inputs)
-	elems := inputElems(inputs, negate)
-	want := elemCounts(elems)
 	pol := opts.Retry
 	maxAtt := retryAttempts(pol)
 	env := opts.runEnv()
 
 	cs := newChanState(opts.K, opts.Faults)
+	segmented := algo == AlgoColumnsortGather && resumable(maxAtt, opts.Checkpoints)
+	// The boundary state is read only by a multi-segment plan or a store.
+	var (
+		elems [][]elem
+		want  map[elemKey]int
+	)
+	if segmented || opts.Checkpoints != nil {
+		elems = inputElems(inputs, negate)
+		want = elemCounts(elems)
+	}
 
 	freshSnap := func() *checkpoint.Snapshot {
 		s := &checkpoint.Snapshot{
@@ -366,7 +379,10 @@ func SortWithRetry(inputs [][]int64, opts SortOptions) ([][]int64, *Report, erro
 	}
 
 	hg := computeGroupTable(cards, cs.k())
-	segs := sortSegments(algo, hg.G)
+	segs := wholeSort
+	if segmented {
+		segs = sortSegments(algo, hg.G)
+	}
 	hist := newPhaseHistory(env)
 	hist.record(snap, &accepted)
 	// Distributed runs align the peer drivers at the start of every attempt
@@ -460,7 +476,7 @@ func SortWithRetry(inputs [][]int64, opts SortOptions) ([][]int64, *Report, erro
 					return nil, nil, serr
 				}
 				snap = cand
-				accepted.Add(st)
+				accepted.Add(cs.toOrig(st))
 				hist.record(snap, &accepted)
 				continue
 			}
@@ -472,7 +488,7 @@ func SortWithRetry(inputs [][]int64, opts SortOptions) ([][]int64, *Report, erro
 		if err == nil {
 			verr := verifier(inputs, outputs, opts.Order)
 			if verr == nil {
-				accepted.Add(st)
+				accepted.Add(cs.toOrig(st))
 				snap.CyclesDone += st.Cycles
 				snap.MessagesDone += st.Messages
 				finishReport()

@@ -125,7 +125,9 @@ var ErrAborted = mcb.ErrAborted
 
 // Checkpointed recovery: SortWithRetry and SelectWithRetry run the
 // algorithms as phase segments and resume a typed failure from the last
-// accepted, verified phase boundary (replaying only the failed segment).
+// accepted, verified phase boundary (replaying only the failed segment); a
+// run of one attempt without a store, which nothing could resume, runs as
+// one segment.
 // With SortOptions.Checkpoints / SelectOptions.Checkpoints set, every
 // accepted boundary is also saved to the store, and with Resume set a new
 // process continues a previous run from an on-disk store — see DESIGN.md §4
